@@ -131,6 +131,41 @@ class TruncatedKernel:
         return np.sum(vals * jac, axis=-1) * dtheta
 
 
+def _graded_levels(half_widths, cells_per_axis, levels: int,
+                   shrinks) -> tuple:
+    """Nested anisotropic midpoint cubature as one base grid and its dilates.
+
+    Returns (v0, w0, per_level): v0 is the midpoint grid of cells_per_axis
+    cells on the box of the given half-widths, w0 its cell volume, and
+    level l of per_level is (scale, keep) with scale = shrinks^-l; that
+    level consists of the nodes v0[keep] * scale with weight
+    w0 * prod(scale).  Each level's box and step shrink by the per-axis
+    factors, so the fine cells stay shaped like the kernel's anisotropy
+    (weight-2 axes shrink quadratically faster); every level but the last
+    leaves out the box of the next, and the last drops its central cell.
+    For power-of-two shrinks the dilates are exact in floating point.
+    """
+    half = np.asarray(half_widths, dtype=float)
+    shr = np.asarray(shrinks, dtype=float)
+    dim = half.size
+    cells = np.broadcast_to(np.asarray(cells_per_axis, dtype=int), (dim,))
+    step = 2 * half / cells
+    axes = [-half[k] + (np.arange(cells[k]) + 0.5) * step[k]
+            for k in range(dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    v0 = np.stack([m.ravel() for m in mesh], axis=-1)
+    per_level = []
+    for lev in range(levels + 1):
+        scale = shr ** -lev
+        pts = np.abs(v0 * scale)
+        if lev < levels:
+            drop = np.all(pts < half * scale / shr - 1e-15, axis=1)
+        else:
+            drop = np.all(pts < 0.5 * step * scale, axis=1)
+        per_level.append((scale, ~drop))
+    return v0, float(np.prod(step)), per_level
+
+
 def graded_nodes_aniso(center, half_widths, cells_per_axis,
                        levels: int, shrinks) -> tuple:
     """Midpoint cubature with nested anisotropic refinement around `center`.
@@ -139,28 +174,13 @@ def graded_nodes_aniso(center, half_widths, cells_per_axis,
     cells stay shaped like the kernel's anisotropy (weight-2 axes shrink
     quadratically faster).  The innermost central cell is dropped.
     """
-    center = np.asarray(center, dtype=float)
-    half = np.asarray(half_widths, dtype=float)
-    shr = np.asarray(shrinks, dtype=float)
-    dim = half.size
-    cells = np.broadcast_to(np.asarray(cells_per_axis, dtype=int), (dim,))
-    nodes, weights = [], []
-    for lev in range(levels + 1):
-        step = 2 * half / cells
-        axes = [-half[k] + (np.arange(cells[k]) + 0.5) * step[k]
-                for k in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        if lev < levels:
-            hole = np.all(np.abs(pts) < (half / shr) - 1e-15, axis=1)
-            pts = pts[~hole]
-        else:
-            mid = np.all(np.abs(pts) < 0.5 * step, axis=1)
-            pts = pts[~mid]
-        nodes.append(pts)
-        weights.append(np.full(pts.shape[0], float(np.prod(step))))
-        half = half / shr
-    return np.concatenate(nodes) + center, np.concatenate(weights)
+    v0, w0, per_level = _graded_levels(half_widths, cells_per_axis, levels,
+                                       shrinks)
+    nodes = [v0[keep] * scale for scale, keep in per_level]
+    weights = [np.full(len(n), w0 * float(np.prod(scale)))
+               for n, (scale, _) in zip(nodes, per_level)]
+    return (np.concatenate(nodes) + np.asarray(center, dtype=float),
+            np.concatenate(weights))
 
 
 def kernel_signed_and_abs_integral(kernel: TruncatedKernel, x,
@@ -374,33 +394,31 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     The operator integral is evaluated in lifted coordinates: substituting
     (y, eta) = (x, 0) * v^{-1} turns T(Lu)(x) into an integral of the fixed
     singular kernel (Y_i Y_j Gamma . psi)(v) against Lu(pi((x,0) v^{-1})),
-    so the anisotropic grading can be centered once at v = 0.
+    so the anisotropic grading can be centered once at v = 0.  K.w comes
+    from ``_graded_kernel`` (evaluated once on the base level and reused on
+    every level by homogeneity); per level only the lifted points and Lu
+    there change.  L_A u is compiled with symbolic coefficients, so the
+    symbolic work depends on u alone and A enters numerically.
     """
     Amat = np.eye(2) if A is None else np.asarray(A, dtype=float)
-    F_fn = sp.lambdify(_B_SYMS, base_operator_expr(Amat, u_expr), "numpy")
+    a_syms = sp.symbols("a1:5", real=True)
+    F_fn = sp.lambdify(_B_SYMS + a_syms, base_operator_expr(
+        sp.Matrix(2, 2, a_syms), u_expr), "numpy")
     target_fn = sp.lambdify(
         _B_SYMS, base_field_expr(base_field_expr(u_expr, j), i), "numpy")
+    a_vals = tuple(float(a) for a in Amat.ravel())
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
-    c0 = normalization_constant()
-    Lam = kernel.profile.support_radius
-    half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
-    vs, wts = graded_nodes_aniso((0.0, 0.0, 0.0), half,
-                                 (cells, 2 * cells, cells), levels,
-                                 (4.0, 16.0, 4.0))
-    Kv = c0 * np.asarray(
-        kernel._fn(vs[:, 0], vs[:, 1], vs[:, 2]), dtype=float)
-    Kv = Kv * kernel.profile(vs)
-    vinv = kernel.lift.inverse(vs)
-    targets, preds = [], []
-    for x in np.atleast_2d(np.asarray(xs, dtype=float)):
-        y_lift = kernel.lift.multiply(np.array([x[0], x[1], 0.0]), vinv)
-        Fv = np.asarray(F_fn(y_lift[:, 0], y_lift[:, 1]), dtype=float)
-        Tv = float(np.sum(wts * Kv * Fv))
-        preds.append(Tv + cij * float(F_fn(*x)))
-        targets.append(float(target_fn(*x)))
-    targets = np.array(targets)
-    preds = np.array(preds)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    Tv = np.zeros(len(xs))
+    for vs, kw in _graded_kernel(kernel, levels, cells):
+        for n, (x1, x2) in enumerate(xs):
+            # (x1, x2, 0) * v^{-1} from the group law
+            y1 = x1 - vs[:, 0]
+            y2 = x2 - vs[:, 1] + vs[:, 0] * vs[:, 2] - x1 * vs[:, 2]
+            Tv[n] += np.sum(kw * F_fn(y1, y2, *a_vals))
+    preds = Tv + cij * np.array([float(F_fn(*x, *a_vals)) for x in xs])
+    targets = np.array([float(target_fn(*x)) for x in xs])
     scale = np.max(np.abs(targets))
     return float(np.max(np.abs(preds - targets)) / scale)
 
@@ -755,25 +773,29 @@ def grid_interpolate(f, pts) -> np.ndarray:
     return np.where(inside, out, 0.0)
 
 
-def _interp2_flat(f, y1, y2) -> np.ndarray:
-    """Bilinear interpolation on a 2-D GridFunction, zero outside the box."""
-    dom = f.domain
-    h = dom.spacing
-    c0, c1 = dom.counts
-    r1 = (y1 - dom.lower[0]) / h[0]
-    r2 = (y2 - dom.lower[1]) / h[1]
-    inside = (r1 >= 0) & (r1 <= c0 - 1) & (r2 >= 0) & (r2 <= c1 - 1)
-    r1 = np.clip(r1, 0.0, c0 - 1 - 1e-9)
-    r2 = np.clip(r2, 0.0, c1 - 1 - 1e-9)
-    b1 = r1.astype(np.int64)
-    b2 = r2.astype(np.int64)
-    f1 = r1 - b1
-    f2 = r2 - b2
-    flat = f.values.ravel()
-    base = b1 * c1 + b2
-    v = ((1 - f1) * ((1 - f2) * flat[base] + f2 * flat[base + 1]) +
-         f1 * ((1 - f2) * flat[base + c1] + f2 * flat[base + c1 + 1]))
-    return v * inside
+def _graded_kernel(kernel: TruncatedKernel, levels: int, cells: int):
+    """Nodes v and K(v) w of the lifted T-cubature, level by level.
+
+    The node sets are those of ``graded_nodes_aniso`` with half-widths
+    1.05 (Lam, max(Lam, Lam^2), Lam), cells (cells, 2 cells, cells) and
+    shrinks (4, 16, 4).  Level l is the exact dilate delta_{4^-l} of the
+    base grid, Y_i Y_j Gamma has degree -4 and the cell volume scales by
+    4^-4, so c0 (Y_i Y_j Gamma)(v) w is the same at corresponding nodes of
+    every level and is evaluated once on the base grid; per level only the
+    hole mask and the cutoff psi(||v||^4 4^-4l) change.  Nodes where the
+    cutoff vanishes are left out, since they add nothing to any sum.
+    """
+    Lam = kernel.profile.support_radius
+    half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
+    v0, w0, per_level = _graded_levels(half, (cells, 2 * cells, cells),
+                                       levels, (4.0, 16.0, 4.0))
+    kw0 = kernel._c0 * w0 * np.asarray(
+        kernel._fn(v0[:, 0], v0[:, 1], v0[:, 2]), dtype=float)
+    s0 = _norm_quartic(v0)
+    for scale, keep in per_level:
+        kw = kw0 * kernel.profile.radial_quartic(s0 * float(np.prod(scale)))
+        keep = keep & (kw != 0.0)
+        yield v0[keep] * scale, kw[keep]
 
 
 def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
@@ -782,30 +804,79 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
 
     Substituting v = (y, eta)^{-1} (x, 0) moves the singularity to a fixed
     point, T f(x) = int (K~ psi)(v) f(pi((x,0) v^{-1})) dv, so one set of
-    anisotropically graded nodes serves every x; a uniform y-grid sum
-    cannot do this, because the near-diagonal mass lives at scale eps.
+    anisotropically graded nodes (``_graded_kernel``) serves every x; a
+    uniform y-grid sum cannot do this, because the near-diagonal mass lives
+    at scale eps.  f is read bilinearly and is zero outside its box.
+
+    The sum is taken by weight tables.  With y1 = x1 - v1 and
+    y2 = x2 - v2 + v1 v3 - x1 v3, output points that share x1 and the
+    fractional grid position of x2 see every node at the same f-row and at
+    the same x2 offset s(v) = (-v2 + v1 v3 - x1 v3) / h2 in grid columns.
+    For such a group the bilinear corner weights times K w are binned once
+    into tables W_lo, W_hi over (row, floor offset), which are contracted
+    with shifted columns of f; a lower corner reads f only in columns
+    [0, c1 - 2], so a point outside the box reads zero.  Scattered points
+    form groups of one.
     """
-    Lam = kernel.profile.support_radius
-    half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
-    vs, wts = graded_nodes_aniso((0.0, 0.0, 0.0), half,
-                                 (cells, 2 * cells, cells), levels,
-                                 (4.0, 16.0, 4.0))
-    Kv = kernel._c0 * np.asarray(
-        kernel._fn(vs[:, 0], vs[:, 1], vs[:, 2]), dtype=float)
-    Kv = Kv * kernel.profile(vs) * wts
-    # base projection of (x1, x2, 0) * v^{-1} written out from the group
-    # law: y1 = x1 - v1, y2 = x2 - v2 + v1 v3 - x1 v3
-    b_add = -vs[:, 1] + vs[:, 0] * vs[:, 2]
-    c_mul = -vs[:, 2]
-    out_points = np.asarray(out_points, dtype=float)
-    out = np.empty(len(out_points))
-    chunk = max(1, int(4e7) // max(len(vs), 1))
-    for a in range(0, len(out_points), chunk):
-        x1 = out_points[a:a + chunk, 0][:, None]
-        x2 = out_points[a:a + chunk, 1][:, None]
-        y1 = x1 - vs[None, :, 0]
-        y2 = x2 + b_add[None, :] + x1 * c_mul[None, :]
-        out[a:a + chunk] = _interp2_flat(f, y1, y2) @ Kv
+    vs, kw = (np.concatenate(a) for a in
+              zip(*_graded_kernel(kernel, levels, cells)))
+    dom = f.domain
+    h = dom.spacing
+    c0, c1 = dom.counts
+    pts = np.asarray(out_points, dtype=float)
+    out = np.zeros(len(pts))
+    # f's lower and upper corner columns; zero where a lower corner leaves
+    # [0, c1 - 2]
+    f_lo = np.zeros((c0, c1 + 1))
+    f_hi = np.zeros((c0, c1 + 1))
+    f_lo[:, :c1 - 1] = f.values[:, :c1 - 1]
+    f_hi[:, :c1 - 1] = f.values[:, 1:]
+    b_add = (-vs[:, 1] + vs[:, 0] * vs[:, 2]) / h[1]
+    c_mul = -vs[:, 2] / h[1]
+    # x2 = lower + (m + phi) h2; a grid-aligned x2 differs from its grid
+    # line by rounding only, so it gets phi near 0 (never near 1), and the
+    # group key rounds phi well above that and below any scattered spacing
+    r2 = (pts[:, 1] - dom.lower[1]) / h[1]
+    m = np.floor(r2 + 1e-9)
+    phi = r2 - m
+    keys = np.stack([pts[:, 0], np.round(phi * 1e12)], axis=1)
+    _, inverse, sizes = np.unique(keys, axis=0, return_inverse=True,
+                                  return_counts=True)
+    groups = np.split(np.argsort(inverse.ravel(), kind="stable"),
+                      np.cumsum(sizes)[:-1])
+    for members in groups:
+        lead = members[0]
+        x1 = pts[lead, 0]
+        r1 = (x1 - vs[:, 0] - dom.lower[0]) / h[0]
+        ok = (r1 >= 0) & (r1 <= c0 - 1)
+        if not ok.any():
+            continue
+        r1 = np.clip(r1[ok], 0.0, c0 - 1 - 1e-9)
+        b1 = r1.astype(np.int64)
+        f1 = r1 - b1
+        t = phi[lead] + b_add[ok] + x1 * c_mul[ok]
+        q = np.floor(t)
+        gfrac = t - q
+        q = q.astype(np.int64)
+        qmin = int(q.min())
+        nq = int(q.max()) - qmin + 1
+        row_lo = b1.min()
+        nrow = int(b1.max()) - row_lo + 2
+        cell = (b1 - row_lo) * nq + (q - qmin)
+        idx = np.concatenate([cell, cell + nq])
+        w = kw[ok]
+        wr = np.concatenate([w * (1.0 - f1), w * f1])
+        gg = np.concatenate([gfrac, gfrac])
+        W_lo = np.bincount(idx, wr * (1.0 - gg), minlength=nrow * nq)
+        W_hi = np.bincount(idx, wr * gg, minlength=nrow * nq)
+        # columns m + q; any outside [0, c1] read the zero column c1
+        cols = (m[members].astype(np.int64) + qmin)[:, None] + np.arange(nq)
+        cols = np.where((cols >= 0) & (cols <= c1), cols, c1)
+        rows = slice(row_lo, row_lo + nrow)
+        out[members] = (
+            np.einsum("rq,rgq->g", W_lo.reshape(nrow, nq), f_lo[rows][:, cols])
+            + np.einsum("rq,rgq->g", W_hi.reshape(nrow, nq),
+                        f_hi[rows][:, cols]))
     return out
 
 

@@ -17,6 +17,7 @@ compatibility, projection onto the base fields) is checked by
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -418,15 +419,44 @@ def _gamma_unit_expr(x1, x2, x3) -> sp.Expr:
     return rho4 ** sp.Rational(-1, 2)
 
 
+_IDENTITY_WORDS: dict = {}
+
+
+def _identity_word_fn(word: tuple):
+    """Y-word of the unnormalized Gamma_I as a numpy function of (x1, t, x3).
+
+    t = x2 - x1 x3 / 2 is the central coordinate in which Gamma_I and every
+    Y-derivative of it are written, so no cancellation happens at run time.
+    Compiled once per word and process; there are 2^len(word) words.
+    """
+    fn = _IDENTITY_WORDS.get(word)
+    if fn is None:
+        x1, x2, x3 = _H_SYMS
+        t = sp.Symbol("t", real=True)
+        expr = lift_grushin1().apply_word(_gamma_unit_expr(*_H_SYMS), word,
+                                          _H_SYMS)
+        expr = expr.subs(x2, t + x1 * x3 / 2)
+        fn = sp.lambdify((x1, t, x3), expr, modules="numpy")
+        _IDENTITY_WORDS[word] = fn
+    return fn
+
+
 class HeisenbergGamma:
     """Fundamental solution of sum_ij a_ij Y_i Y_j on the grushin(1) lift.
 
     For general SPD A the solution is transported from the identity matrix
-    through the group automorphism that acts by S = sqrt(A) on the
-    horizontal pair (x1, x3) and by det(S) on the central variable, divided
-    by det(A) (the automorphism's Jacobian).  The overall constant is
-    calibrated once from the reproduction identity; see
-    ``normalization_constant``.
+    through the group automorphism psi_A that acts by S^{-1} = sqrt(A)^{-1}
+    on the horizontal pair (x1, x3) and by 1/det(S) on t = x2 - x1 x3 / 2:
+    Gamma_A = det(S)^{-2} Gamma_I o psi_A (det(S)^{-2} is the Jacobian of
+    psi_A).  psi_A carries Y_k to sum_l S^{-1}[l, k] Y_l, so every Y-word of
+    Gamma_A is a fixed combination of Y-words of Gamma_I at psi_A(u),
+
+        Y_i Y_j Gamma_A = det(S)^{-2} sum_kl S^{-1}[k, i] S^{-1}[l, j]
+                          (Y_k Y_l Gamma_I) o psi_A,
+
+    and an instance holds only S^{-1} and det(S); the Gamma_I words are
+    compiled once per process.  The overall constant is calibrated once
+    from the reproduction identity; see ``normalization_constant``.
     """
 
     def __init__(self, A=None):
@@ -436,35 +466,40 @@ class HeisenbergGamma:
         A = np.asarray(A, dtype=float)
         self.A = A
         S = sqrt_spd(A)
-        Si = np.linalg.inv(S)
-        detS = float(np.linalg.det(S))
-        x1, x2, x3 = _H_SYMS
-        a, b = x1, x3
-        t = x2 - a * b / 2
-        a0 = Si[0, 0] * a + Si[0, 1] * b
-        b0 = Si[1, 0] * a + Si[1, 1] * b
-        t0 = t / detS
-        x2_0 = t0 + a0 * b0 / 2
-        self.expr_unit = _gamma_unit_expr(a0, x2_0, b0) / (detS ** 2)
-        self._value = sp.lambdify(_H_SYMS, self.expr_unit, modules="numpy")
-        self._words: dict = {}
+        self.Si = np.linalg.inv(S)
+        self.detS = float(np.linalg.det(S))
+
+    @property
+    def expr_unit(self) -> sp.Expr:
+        """Gamma_A (unnormalized) as a sympy expression in _H_SYMS."""
+        a0, t0, b0 = self._psi(*_H_SYMS)
+        return _gamma_unit_expr(a0, t0 + a0 * b0 / 2, b0) / self.detS ** 2
+
+    def _psi(self, x1, x2, x3) -> tuple:
+        """psi_A(u) in the (x1, t, x3) coordinates of the Gamma_I words."""
+        Si = self.Si
+        a0 = Si[0, 0] * x1 + Si[0, 1] * x3
+        b0 = Si[1, 0] * x1 + Si[1, 1] * x3
+        return a0, (x2 - x1 * x3 / 2) / self.detS, b0
+
+    def word_fn(self, word):
+        """Y-word derivative of Gamma_A (unnormalized) as a numpy function."""
+        word = tuple(word)
+        terms = []
+        for ks in itertools.product(range(2), repeat=len(word)):
+            coef = math.prod(float(self.Si[k, w]) for k, w in zip(ks, word))
+            if coef != 0.0:
+                terms.append((coef / self.detS ** 2, _identity_word_fn(ks)))
+
+        def fn(x1, x2, x3):
+            z = self._psi(x1, x2, x3)
+            return sum(c * g(*z) for c, g in terms)
+
+        return fn
 
     def value(self, u, normalized: bool = True) -> np.ndarray:
         """Gamma at points u (..., 3)."""
-        u = np.asarray(u, dtype=float)
-        out = self._value(u[..., 0], u[..., 1], u[..., 2])
-        out = np.asarray(out, dtype=float)
-        if normalized:
-            out = out * normalization_constant()
-        return out
-
-    def word_fn(self, word):
-        """Lambdified Y-word derivative of Gamma (unnormalized), cached."""
-        word = tuple(word)
-        if word not in self._words:
-            expr = self.lift.apply_word(self.expr_unit, word, _H_SYMS)
-            self._words[word] = sp.lambdify(_H_SYMS, expr, modules="numpy")
-        return self._words[word]
+        return self.word_value((), u, normalized)
 
     def word_value(self, word, u, normalized: bool = True) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -475,45 +510,8 @@ class HeisenbergGamma:
         return out
 
 
-_GAMMA_CACHE: dict = {}
-
-
 def heisenberg_gamma(A=None) -> HeisenbergGamma:
-    key = None if A is None else tuple(np.round(np.asarray(A, float), 14).ravel())
-    if key not in _GAMMA_CACHE:
-        _GAMMA_CACHE[key] = HeisenbergGamma(A)
-    return _GAMMA_CACHE[key]
-
-
-def _graded_nodes(L: float, h: float, levels: int = 2,
-                  shrink: float = 4.0) -> tuple:
-    """Midpoint cubature on [-L, L]^3 with nested refinement around 0.
-
-    Each level replaces the central block with a grid `shrink` times finer;
-    the innermost central cell is dropped (its contribution is O(cell^2)
-    for a kernel homogeneous of degree -2).
-    """
-    nodes = []
-    weights = []
-    lo = L
-    step = h
-    for lev in range(levels + 1):
-        k = int(round(2 * lo / step))
-        ax = -lo + (np.arange(k) + 0.5) * step
-        X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-        if lev < levels:
-            inner = lo / shrink
-            hole = np.all(np.abs(pts) < inner - 1e-12, axis=1)
-            pts = pts[~hole]
-        else:
-            center = np.all(np.abs(pts) < 0.5 * step, axis=1)
-            pts = pts[~center]
-        nodes.append(pts)
-        weights.append(np.full(pts.shape[0], step ** 3))
-        lo = lo / shrink
-        step = step / shrink
-    return np.concatenate(nodes), np.concatenate(weights)
+    return HeisenbergGamma(A)
 
 
 def _gaussian_bump(widths, center=None):
@@ -535,6 +533,54 @@ def _apply_operator(expr: sp.Expr, A: np.ndarray, lift: CarnotLift) -> sp.Expr:
     return out
 
 
+def _graded_slabs(L: float, h: float, levels: int = 3,
+                  shrink: float = 4.0, slab: int = 16):
+    """Midpoint cubature on [-L, L]^3 with nested refinement around 0.
+
+    Each level replaces the central block with a grid `shrink` times finer;
+    the innermost central cell is dropped (its contribution is O(cell^2)
+    for a kernel homogeneous of degree -2).  Yields (nodes, weight) for
+    x1 slabs of `slab` grid planes, so the cubature is never held whole.
+    """
+    lo = L
+    step = h
+    for lev in range(levels + 1):
+        k = int(round(2 * lo / step))
+        ax = -lo + (np.arange(k) + 0.5) * step
+        for a in range(0, k, slab):
+            X, Y, Z = np.meshgrid(ax[a:a + slab], ax, ax, indexing="ij")
+            pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
+            if lev < levels:
+                hole = np.all(np.abs(pts) < lo / shrink - 1e-12, axis=1)
+            else:
+                hole = np.all(np.abs(pts) < 0.5 * step, axis=1)
+            yield pts[~hole], step ** 3
+        lo = lo / shrink
+        step = step / shrink
+
+
+def _convolution_integrals(gamma_fn, Lu, xs, nodes=None,
+                           weights=None) -> np.ndarray:
+    """int Gamma(z) (L u)(x z^{-1}) dz at each x, graded around z = 0.
+
+    gamma_fn maps nodes (n, 3) to kernel values.  Without explicit nodes
+    the shared calibration cubature (L = 8, h = 1/8, three levels) is
+    streamed in slabs.  x z^{-1} is written out from the group law.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    chunks = (_graded_slabs(8.0, 0.125) if nodes is None
+              else [(np.asarray(nodes, dtype=float), weights)])
+    out = np.zeros(len(xs))
+    for z, w in chunks:
+        wG = w * gamma_fn(z)
+        for n, x in enumerate(xs):
+            y1 = x[0] - z[:, 0]
+            y2 = x[1] - z[:, 1] + z[:, 0] * z[:, 2] - x[0] * z[:, 2]
+            y3 = x[2] - z[:, 2]
+            out[n] += np.sum(wG * Lu(y1, y2, y3))
+    return out
+
+
 def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
                           xs: np.ndarray, nodes=None, weights=None,
                           normalized: bool = True) -> float:
@@ -543,35 +589,15 @@ def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
     Substituting z = y^{-1} * x turns this into a convolution against a
     fixed singular kernel; the quadrature is graded around z = 0.
     """
-    lift = gamma.lift
-    if nodes is None:
-        nodes, weights = _default_nodes()
-    Lu = sp.lambdify(_H_SYMS, _apply_operator(bump_expr, gamma.A, lift),
+    Lu = sp.lambdify(_H_SYMS, _apply_operator(bump_expr, gamma.A, gamma.lift),
                      modules="numpy")
     u_fn = sp.lambdify(_H_SYMS, bump_expr, modules="numpy")
-    G = gamma.value(nodes, normalized=normalized)
-    zinv = lift.inverse(nodes)
-    worst = 0.0
-    for x in np.atleast_2d(xs):
-        y = lift.multiply(x, zinv)
-        integral = float(np.sum(weights * G * Lu(y[:, 0], y[:, 1], y[:, 2])))
-        target = float(u_fn(*x))
-        worst = max(worst, abs(integral - target) / abs(target))
-    return worst
-
-
-_NODE_CACHE: dict = {}
-
-
-def _default_nodes(fine: bool = True) -> tuple:
-    """Shared convolution cubature; fine for calibration-grade residuals."""
-    key = fine
-    if key not in _NODE_CACHE:
-        if fine:
-            _NODE_CACHE[key] = _graded_nodes(8.0, 0.125, levels=3)
-        else:
-            _NODE_CACHE[key] = _graded_nodes(8.0, 0.25, levels=2)
-    return _NODE_CACHE[key]
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    integrals = _convolution_integrals(
+        lambda z: gamma.value(z, normalized=normalized), Lu, xs, nodes,
+        weights)
+    targets = np.array([float(u_fn(*x)) for x in xs])
+    return float(np.max(np.abs(integrals - targets) / np.abs(targets)))
 
 
 _C0: list = []
@@ -583,28 +609,22 @@ def normalization_constant() -> float:
     Fixed by matching the reproduction identity for one Gaussian profile at
     several evaluation points; a structurally different profile validates
     the value (`test` suite enforces the tolerance).  Calibrated lazily and
-    cached for the process lifetime.
+    cached for the process lifetime; the cubature is streamed in slabs.
     """
     if _C0:
         return _C0[0]
-    lift = lift_grushin1()
     gamma = heisenberg_gamma(None)
-    nodes, weights = _default_nodes()
     bump = _gaussian_bump((1.0, 1.5, 1.0))
-    Lu = sp.lambdify(_H_SYMS, _apply_operator(bump, np.eye(2), lift),
+    Lu = sp.lambdify(_H_SYMS, _apply_operator(bump, np.eye(2), gamma.lift),
                      modules="numpy")
     u_fn = sp.lambdify(_H_SYMS, bump, modules="numpy")
-    G = gamma.value(nodes, normalized=False)
-    zinv = lift.inverse(nodes)
     xs = np.array([[0.0, 0.0, 0.0], [0.4, 0.1, -0.2], [-0.3, 0.25, 0.35],
                    [0.15, -0.3, 0.1]])
-    ratios = []
-    for x in xs:
-        y = lift.multiply(x, zinv)
-        integral = float(np.sum(weights * G * Lu(y[:, 0], y[:, 1], y[:, 2])))
-        ratios.append(float(u_fn(*x)) / integral)
+    integrals = _convolution_integrals(
+        lambda z: gamma.value(z, normalized=False), Lu, xs)
+    ratios = np.array([float(u_fn(*x)) for x in xs]) / integrals
     c0 = float(np.mean(ratios))
-    spread = float(np.max(np.abs(np.array(ratios) / c0 - 1.0)))
+    spread = float(np.max(np.abs(ratios / c0 - 1.0)))
     if spread > 5e-3:
         raise RuntimeError(
             f"normalization calibration inconsistent: spread {spread:.2e}")
@@ -781,14 +801,8 @@ def base_reproduction_residual(A, bump_expr: sp.Expr, xs,
     return worst
 
 
-_SAT_CACHE: dict = {}
-
-
 def grushin_gamma(A=None) -> GrushinGamma:
-    key = None if A is None else tuple(np.round(np.asarray(A, float), 14).ravel())
-    if key not in _SAT_CACHE:
-        _SAT_CACHE[key] = GrushinGamma(A)
-    return _SAT_CACHE[key]
+    return GrushinGamma(A)
 
 
 # ---------------------------------------------------------------------------

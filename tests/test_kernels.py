@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from subelliptic import kernels
 from subelliptic.domain import BoxDomain, GridFunction, MarginError
@@ -113,3 +114,149 @@ def test_smoothed_matches_singular():
         pairs.append((x, x + (-s, 0.02)))
     gap = smoothed_vs_singular(0, 0, eps=0.02, R=8.0, pairs=pairs)
     assert gap <= 0.02
+
+
+def _interp2_flat(f, y1, y2) -> np.ndarray:
+    """Bilinear interpolation on a 2-D GridFunction, zero outside the box."""
+    dom = f.domain
+    h = dom.spacing
+    c0, c1 = dom.counts
+    r1 = (y1 - dom.lower[0]) / h[0]
+    r2 = (y2 - dom.lower[1]) / h[1]
+    inside = (r1 >= 0) & (r1 <= c0 - 1) & (r2 >= 0) & (r2 <= c1 - 1)
+    r1 = np.clip(r1, 0.0, c0 - 1 - 1e-9)
+    r2 = np.clip(r2, 0.0, c1 - 1 - 1e-9)
+    b1 = r1.astype(np.int64)
+    b2 = r2.astype(np.int64)
+    f1 = r1 - b1
+    f2 = r2 - b2
+    flat = f.values.ravel()
+    base = b1 * c1 + b2
+    v = ((1 - f1) * ((1 - f2) * flat[base] + f2 * flat[base + 1]) +
+         f1 * ((1 - f2) * flat[base + c1] + f2 * flat[base + c1 + 1]))
+    return v * inside
+
+
+def _graded_nodes_direct(center, half_widths, cells_per_axis, levels,
+                         shrinks):
+    """Nested anisotropic midpoint cubature, each level built on its own."""
+    center = np.asarray(center, dtype=float)
+    half = np.asarray(half_widths, dtype=float)
+    shr = np.asarray(shrinks, dtype=float)
+    dim = half.size
+    cells = np.broadcast_to(np.asarray(cells_per_axis, dtype=int), (dim,))
+    nodes, weights = [], []
+    for lev in range(levels + 1):
+        step = 2 * half / cells
+        axes = [-half[k] + (np.arange(cells[k]) + 0.5) * step[k]
+                for k in range(dim)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        if lev < levels:
+            hole = np.all(np.abs(pts) < (half / shr) - 1e-15, axis=1)
+            pts = pts[~hole]
+        else:
+            mid = np.all(np.abs(pts) < 0.5 * step, axis=1)
+            pts = pts[~mid]
+        nodes.append(pts)
+        weights.append(np.full(pts.shape[0], float(np.prod(step))))
+        half = half / shr
+    return np.concatenate(nodes) + center, np.concatenate(weights)
+
+
+@pytest.mark.parametrize("args", [
+    ((0.2, 0.1), (1.3, 1.7), 48, 5, (4.0, 16.0)),
+    ((0.0, 0.0, 0.0), (1.1, 1.3, 1.1), (16, 32, 16), 4, (4.0, 16.0, 4.0))])
+def test_graded_levels_are_exact_dilates(args):
+    # power-of-two shrinks make every level an exact dilate of the base grid
+    got = kernels.graded_nodes_aniso(*args)
+    ref = _graded_nodes_direct(*args)
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+def _lifted_nodes(kernel, levels, cells):
+    """All graded nodes and K(v) w, every level evaluated directly."""
+    Lam = kernel.profile.support_radius
+    half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
+    vs, wts = _graded_nodes_direct((0.0, 0.0, 0.0), half,
+                                   (cells, 2 * cells, cells), levels,
+                                   (4.0, 16.0, 4.0))
+    Kv = kernel._c0 * np.asarray(
+        kernel._fn(vs[:, 0], vs[:, 1], vs[:, 2]), dtype=float)
+    return vs, Kv * kernel.profile(vs) * wts
+
+
+def _apply_T_gather(kernel, f, pts, levels=4, cells=16):
+    """T f as one gather over points x nodes."""
+    vs, Kv = _lifted_nodes(kernel, levels, cells)
+    x1 = pts[:, 0][:, None]
+    x2 = pts[:, 1][:, None]
+    y1 = x1 - vs[None, :, 0]
+    y2 = x2 - vs[None, :, 1] + vs[None, :, 0] * vs[None, :, 2] \
+        - x1 * vs[None, :, 2]
+    return _interp2_flat(f, y1, y2) @ Kv
+
+
+def test_weight_tables_match_gather():
+    dom = BoxDomain((-2, -2), (2, 2), (41, 41))
+    pts = dom.points()
+    # nonzero up to the box edge, so the zero-outside rule is exercised
+    f = GridFunction(dom, (np.exp(-0.3 * np.sum(pts ** 2, axis=1))
+                           * (1 + 0.5 * np.sin(3 * pts[:, 0])))
+                     .reshape(dom.counts))
+    rng = np.random.default_rng(8)
+    scattered = rng.uniform(-2.2, 2.2, (40, 2))
+    A = np.array([[1.3, 0.4], [0.4, 0.7]])
+    for eps, R, Am in ((0.02, 0.5, A), (0.1, 2.0, None)):
+        k = TruncatedKernel(0, 1, eps, R, Am)
+        for out in (pts[::5], scattered):
+            ref = _apply_T_gather(k, f, out)
+            got = kernels.apply_T_quadrature(k, f, out)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_representation_levels_by_homogeneity(lift1):
+    # reusing K w across the dilated levels must match evaluating the
+    # kernel on every level and lifting with the Poly group law
+    from subelliptic.liftgroup import base_operator_expr
+    y1, y2 = kernels._B_SYMS
+    u = sp.exp(-(y1 ** 2 + 2 * y2 ** 2)) * sp.cos(y1)
+    A = np.array([[1.2, -0.3], [-0.3, 0.9]])
+    xs = np.array([(0.3, 0.2), (-0.4, 0.1)])
+    i, j, eps, R, levels, cells = 0, 1, 0.2, 10.0, 3, 16
+    got = kernels.representation_residual(i, j, A, u, xs, eps=eps, R=R,
+                                          levels=levels, cells=cells)
+    F_fn = sp.lambdify(kernels._B_SYMS, base_operator_expr(A, u), "numpy")
+    target_fn = sp.lambdify(kernels._B_SYMS, kernels.base_field_expr(
+        kernels.base_field_expr(u, j), i), "numpy")
+    k = TruncatedKernel(i, j, eps, R, A)
+    vs, Kw = _lifted_nodes(k, levels, cells)
+    vinv = lift1.inverse(vs)
+    cij = flux_constant(i, j, A)
+    preds, targets = [], []
+    for x in xs:
+        y = lift1.multiply(np.array([x[0], x[1], 0.0]), vinv)
+        preds.append(float(np.sum(Kw * F_fn(y[:, 0], y[:, 1])))
+                     + cij * float(F_fn(*x)))
+        targets.append(float(target_fn(*x)))
+    targets = np.array(targets)
+    ref = np.max(np.abs(np.array(preds) - targets)) / np.max(np.abs(targets))
+    assert got == pytest.approx(ref, rel=1e-10)
+
+
+def test_new_matrix_needs_no_symbolic_work(monkeypatch):
+    dom = BoxDomain((-2, -2), (2, 2), (41, 41))
+    f = bump_grid(dom, (0.1, -0.2), 0.6)
+    out = dom.points()[::7]
+    warm = TruncatedKernel(0, 1, 0.05, 1.0, np.array([[1.5, 0.2],
+                                                      [0.2, 0.8]]))
+    kernels.apply_T_quadrature(warm, f, out)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic work for a new matrix")
+
+    monkeypatch.setattr(sp, "lambdify", forbidden)
+    monkeypatch.setattr(sp, "diff", forbidden)
+    k = TruncatedKernel(0, 1, 0.05, 1.0, np.array([[0.7, -0.1],
+                                                   [-0.1, 1.9]]))
+    assert np.all(np.isfinite(kernels.apply_T_quadrature(k, f, out)))

@@ -81,6 +81,36 @@ def test_gamma_homogeneity_degree():
     assert np.allclose(g.value(v), lam ** -2 * g.value(u), rtol=1e-10)
 
 
+def _transported_gamma_expr(A):
+    """Gamma_A built per matrix in sympy: Gamma_I composed with psi_A."""
+    S = sqrt_spd(A)
+    Si = np.linalg.inv(S)
+    detS = float(np.linalg.det(S))
+    x1, x2, x3 = liftgroup._H_SYMS
+    a0 = Si[0, 0] * x1 + Si[0, 1] * x3
+    b0 = Si[1, 0] * x1 + Si[1, 1] * x3
+    t0 = (x2 - x1 * x3 / 2) / detS
+    return liftgroup._gamma_unit_expr(a0, t0 + a0 * b0 / 2, b0) / detS ** 2
+
+
+def test_automorphism_words_match_per_matrix_sympy(lift1):
+    # HeisenbergGamma(A) evaluates Y-words of Gamma_A through psi_A and the
+    # compiled Gamma_I words; differentiating the transported Gamma_A
+    # directly in sympy must give the same values
+    rng = np.random.default_rng(4)
+    u = rng.uniform(-1.5, 1.5, (2000, 3))
+    us = liftgroup._H_SYMS
+    words = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    for A in spd_sweep(3):
+        g = HeisenbergGamma(A)
+        expr = _transported_gamma_expr(A)
+        for word in words:
+            ref = sp.lambdify(us, lift1.apply_word(expr, word, us), "numpy")(
+                u[:, 0], u[:, 1], u[:, 2])
+            got = g.word_value(word, u, normalized=False)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_reproduction_identity_and_sweep():
     g = heisenberg_gamma(None)
     xs = np.array([[0.2, -0.1, 0.15], [-0.25, 0.2, -0.1]])
