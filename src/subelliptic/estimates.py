@@ -3,20 +3,19 @@ variable-coefficient operators, and a-priori estimate ratio experiments.
 
 X-derivatives are centered finite differences of the grid samples combined
 with exact polynomial coefficients; each application shrinks the trusted
-margin by one cell.  Symbolic helpers produce the same derivatives exactly
-(via sympy) for oracle comparisons.
+margin by one cell.  ``fields.word_apply_sympy`` gives the same derivatives
+exactly (via sympy) for oracle comparisons.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
 from .domain import BoxDomain, GridFunction
-from .fields import HormanderSystem, Poly, PolyVectorField
+from .fields import HormanderSystem, PolyVectorField
 
 
 class EllipticityError(ValueError):
@@ -53,32 +52,6 @@ def apply_word_grid(system: HormanderSystem, word, f: GridFunction) -> GridFunct
 # ---------------------------------------------------------------------------
 # symbolic oracles
 # ---------------------------------------------------------------------------
-
-def poly_to_sympy(p: Poly, xs) -> sp.Expr:
-    out = sp.Integer(0)
-    for exps, c in p.terms.items():
-        term = sp.Rational(c.numerator, c.denominator)
-        for k, e in enumerate(exps):
-            if e:
-                term *= xs[k] ** e
-        out += term
-    return out
-
-
-def field_apply_sympy(X: PolyVectorField, expr: sp.Expr, xs) -> sp.Expr:
-    out = sp.Integer(0)
-    for k, c in enumerate(X.comps):
-        if not c.is_zero():
-            out += poly_to_sympy(c, xs) * sp.diff(expr, xs[k])
-    return sp.expand(out)
-
-
-def word_apply_sympy(system: HormanderSystem, word, expr: sp.Expr, xs) -> sp.Expr:
-    out = expr
-    for i in reversed(word):
-        out = field_apply_sympy(system.fields[i], out, xs)
-    return out
-
 
 def grid_from_expr(domain: BoxDomain, expr: sp.Expr, xs,
                    margin: int = 0) -> GridFunction:

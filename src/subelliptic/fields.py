@@ -239,6 +239,35 @@ class PolyVectorField:
         return " + ".join(terms) if terms else "0"
 
 
+def poly_to_sympy(p: Poly, syms) -> sp.Expr:
+    """Exact conversion of a sparse Fraction polynomial to a sympy expr."""
+    import sympy as sp      # only the symbolic layers need sympy
+    out = sp.Integer(0)
+    for e, c in p.terms.items():
+        term = sp.Rational(c.numerator, c.denominator)
+        for s, k in zip(syms, e):
+            if k:
+                term *= s ** k
+        out += term
+    return out
+
+
+def word_apply_sympy(system, word, expr: sp.Expr, syms) -> sp.Expr:
+    """X_{w1} X_{w2} ... X_{wk} expr, the rightmost field applied first.
+
+    system is anything with a ``fields`` list of PolyVectorFields (a
+    HormanderSystem or a lift).  The result is not expanded: callers that
+    substitute into it (the central coordinate of the Heisenberg lift)
+    rely on the unexpanded form to avoid cancellation.
+    """
+    import sympy as sp
+    for j in reversed(word):
+        expr = sum(poly_to_sympy(c, syms) * sp.diff(expr, s)
+                   for c, s in zip(system.fields[j].comps, syms)
+                   if not c.is_zero())
+    return expr
+
+
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     """[X, Y] = X(Y-coefficients) - Y(X-coefficients), exact."""
     if X.n != Y.n:

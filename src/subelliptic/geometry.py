@@ -31,7 +31,7 @@ class CoverageError(RuntimeError):
 
 
 class UnresolvedDistanceError(RuntimeError):
-    pass
+    """Value iteration did not converge within its sweep budget."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,33 @@ def _rk4_flow(system: HormanderSystem, a: np.ndarray, pts: np.ndarray,
     return x
 
 
+def _corner_weights(domain: BoxDomain, x: np.ndarray) -> tuple:
+    """Corners and weights of multilinear interpolation at points x.
+
+    x has shape (..., dim).  Returns the flat node indices and weights of
+    the 2^dim cell corners, each of shape (..., 2^dim), corners in
+    itertools.product order, and the unclipped cell index floor(rel).  The
+    cell is clipped into the grid, so a point outside the box extrapolates
+    from the nearest boundary cell.
+    """
+    rel = (x - np.array(domain.lower)) / domain.spacing
+    floor = np.floor(rel).astype(int)
+    base = np.clip(floor, 0, np.array(domain.counts) - 2)
+    frac = rel - base
+    offsets = list(itertools.product((0, 1), repeat=domain.dim))
+    idx = np.empty(x.shape[:-1] + (len(offsets),), dtype=np.int64)
+    wts = np.empty(idx.shape)
+    # corner by corner, so no temporary holds every corner of every point
+    for c, off in enumerate(offsets):
+        idx[..., c] = np.ravel_multi_index(
+            tuple(np.moveaxis(base + off, -1, 0)), domain.counts)
+        w = 1.0
+        for k in range(domain.dim):
+            w = w * (frac[..., k] if off[k] else 1.0 - frac[..., k])
+        wts[..., c] = w
+    return idx, wts, floor
+
+
 class CCMetric:
     """Discrete CC metric on a box grid via Bellman value iteration."""
 
@@ -87,11 +114,7 @@ class CCMetric:
     def _build_moves(self):
         dom, sys_, tau = self.domain, self.system, self.tau
         pts = dom.points()
-        lower = np.array(dom.lower)
-        h = dom.spacing
         counts = np.array(dom.counts)
-        dim = dom.dim
-        corner_offsets = list(itertools.product((0, 1), repeat=dim))
         levels = np.linspace(-1.0, 1.0, self.cfg.controls_per_field)
         moves = []
         for combo in itertools.product(levels, repeat=sys_.m):
@@ -100,25 +123,18 @@ class CCMetric:
             if amax == 0.0:
                 continue
             end = _rk4_flow(sys_, a, pts, tau, self.cfg.substeps)
-            rel = (end - lower) / h
-            base = np.floor(rel).astype(int)
-            frac = rel - base
-            valid = np.all((base >= 0) & (base <= counts - 2), axis=1)
-            base_c = np.clip(base, 0, counts - 2)
-            idx = np.empty((pts.shape[0], len(corner_offsets)), dtype=np.int64)
-            wts = np.empty((pts.shape[0], len(corner_offsets)))
-            for c, off in enumerate(corner_offsets):
-                corner = base_c + np.array(off)
-                idx[:, c] = np.ravel_multi_index(tuple(corner.T), dom.counts)
-                w = np.ones(pts.shape[0])
-                for k in range(dim):
-                    w = w * (frac[:, k] if off[k] else 1.0 - frac[:, k])
-                wts[:, c] = w
+            idx, wts, cell = _corner_weights(dom, end)
+            # a move whose endpoint cell leaves the grid is not taken
+            valid = np.all((cell >= 0) & (cell <= counts - 2), axis=1)
             moves.append((tau * amax, idx, wts, valid))
         return moves
 
     def distance_fields(self, sources) -> np.ndarray:
-        """Distances from each source point; shape (k, num_points)."""
+        """Distances from each source point; shape (k, num_points).
+
+        Raises UnresolvedDistanceError when the sweeps have not settled
+        within the budget of 20 box diameters per tau plus 100.
+        """
         src = np.atleast_2d(np.asarray(sources, dtype=float))
         nsrc, npts = src.shape[0], self.domain.num_points
         d = np.full((nsrc, npts), _BIG)
@@ -138,8 +154,10 @@ class CCMetric:
             delta = np.max(d - d_new)
             d = d_new
             if delta < tol:
-                break
-        return d
+                return d
+        raise UnresolvedDistanceError(
+            f"value iteration not converged after {max_sweeps} sweeps "
+            f"(last change {delta:.3g}, tolerance {tol:.3g})")
 
     def distance_field(self, source) -> np.ndarray:
         return self.distance_fields([source])[0]
@@ -149,19 +167,9 @@ class CCMetric:
 
     def interpolate(self, field_flat: np.ndarray, x) -> float:
         """Multilinear interpolation of a node field at an off-grid point."""
-        x = np.asarray(x, dtype=float)
-        rel = (x - np.array(self.domain.lower)) / self.domain.spacing
-        base = np.clip(np.floor(rel).astype(int), 0,
-                       np.array(self.domain.counts) - 2)
-        frac = rel - base
-        out = 0.0
-        for off in itertools.product((0, 1), repeat=self.domain.dim):
-            corner = base + np.array(off)
-            w = np.prod([frac[k] if off[k] else 1.0 - frac[k]
-                         for k in range(self.domain.dim)])
-            out += w * field_flat[np.ravel_multi_index(tuple(corner),
-                                                       self.domain.counts)]
-        return float(out)
+        idx, wts, _ = _corner_weights(self.domain,
+                                      np.asarray(x, dtype=float))
+        return float(sum(w * v for w, v in zip(wts, field_flat[idx])))
 
 
 def get_metric(system: HormanderSystem, domain: BoxDomain,

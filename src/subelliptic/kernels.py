@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .liftgroup import (CarnotLift, GrushinGamma, HeisenbergGamma, _H_SYMS,
-                        _B_SYMS, _graded_nodes_2d, base_operator_expr,
-                        calibrate_equivalence, grushin_gamma,
-                        heisenberg_gamma, lift_grushin1,
-                        normalization_constant, poly_to_sympy)
+from .fields import grushin, word_apply_sympy
+from .liftgroup import (GrushinGamma, HeisenbergGamma, _B_SYMS, _H_SYMS,
+                        _fiber_arg, _fiber_scale, _fiber_terms,
+                        _graded_levels, _smoothstep_expr, base_operator_expr,
+                        calibrate_equivalence, graded_nodes_aniso,
+                        normalization_constant)
 
 _SQRT_EPS = 1e-300
 
@@ -33,11 +34,6 @@ def smoothstep(t):
     """Quintic smoothstep: 0 below 0, 1 above 1, C^2 in between."""
     t = np.clip(t, 0.0, 1.0)
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-
-
-def smoothstep_expr(t):
-    ts = sp.Min(sp.Max(t, 0), 1)
-    return ts ** 3 * (6 * ts ** 2 - 15 * ts + 10)
 
 
 def _norm_quartic(u):
@@ -89,7 +85,7 @@ class TruncatedKernel:
     def __init__(self, i: int, j: int, eps: float, R: float, A=None,
                  eta_nodes: int = 192):
         self.i, self.j = i, j
-        self.tilde = heisenberg_gamma(A)
+        self.tilde = HeisenbergGamma(A)
         self.lift = self.tilde.lift
         eq = calibrate_equivalence(self.lift)
         self.gamma2 = eq.gamma2
@@ -99,88 +95,23 @@ class TruncatedKernel:
         self._c0 = normalization_constant()
         self.eta_nodes = eta_nodes
 
-    def _arg(self, x, y, eta):
-        """(y, eta)^{-1} * (x, 0) for base points, broadcast over eta."""
-        x1 = x[..., 0][..., None]
-        x2 = x[..., 1][..., None]
-        y1 = y[..., 0][..., None]
-        y2 = y[..., 1][..., None]
-        return np.stack(np.broadcast_arrays(
-            x1 - y1, x2 - y2 + y1 * eta, -eta + 0.0 * x1), axis=-1)
-
     def __call__(self, x, y) -> np.ndarray:
         """The fiber integral uses eta = s tan(theta) with s matched to the
         horizontal displacement, so near-diagonal pairs stay resolved; the
         cutoff truncates the line to a compact set."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        dx = np.stack(np.broadcast_arrays(
-            y[..., 0] - x[..., 0], y[..., 1] - x[..., 1],
-            0.0 * (y[..., 0] + x[..., 0])), axis=-1)
-        s = np.maximum(self.lift.hom_norm(dx),
+        s = np.maximum(_fiber_scale(self.lift, x, y),
                        self.eps / (2 * self.gamma2))[..., None]
+
+        def integrand(eta):
+            z = _fiber_arg(y, x, -eta)          # (y, eta)^{-1} * (x, 0)
+            return self._c0 * np.asarray(
+                self._fn(z[..., 0], z[..., 1], z[..., 2]),
+                dtype=float) * self.profile(z)
+
         M = self.eta_nodes
-        theta = (np.arange(M) + 0.5) / M * np.pi - np.pi / 2
-        dtheta = np.pi / M
-        eta = s * np.tan(theta)
-        jac = s / np.cos(theta) ** 2
-        z = self._arg(x, y, eta)
-        vals = self._c0 * np.asarray(
-            self._fn(z[..., 0], z[..., 1], z[..., 2]), dtype=float)
-        vals = vals * self.profile(z)
-        return np.sum(vals * jac, axis=-1) * dtheta
-
-
-def _graded_levels(half_widths, cells_per_axis, levels: int,
-                   shrinks) -> tuple:
-    """Nested anisotropic midpoint cubature as one base grid and its dilates.
-
-    Returns (v0, w0, per_level): v0 is the midpoint grid of cells_per_axis
-    cells on the box of the given half-widths, w0 its cell volume, and
-    level l of per_level is (scale, keep) with scale = shrinks^-l; that
-    level consists of the nodes v0[keep] * scale with weight
-    w0 * prod(scale).  Each level's box and step shrink by the per-axis
-    factors, so the fine cells stay shaped like the kernel's anisotropy
-    (weight-2 axes shrink quadratically faster); every level but the last
-    leaves out the box of the next, and the last drops its central cell.
-    For power-of-two shrinks the dilates are exact in floating point.
-    """
-    half = np.asarray(half_widths, dtype=float)
-    shr = np.asarray(shrinks, dtype=float)
-    dim = half.size
-    cells = np.broadcast_to(np.asarray(cells_per_axis, dtype=int), (dim,))
-    step = 2 * half / cells
-    axes = [-half[k] + (np.arange(cells[k]) + 0.5) * step[k]
-            for k in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    v0 = np.stack([m.ravel() for m in mesh], axis=-1)
-    per_level = []
-    for lev in range(levels + 1):
-        scale = shr ** -lev
-        pts = np.abs(v0 * scale)
-        if lev < levels:
-            drop = np.all(pts < half * scale / shr - 1e-15, axis=1)
-        else:
-            drop = np.all(pts < 0.5 * step * scale, axis=1)
-        per_level.append((scale, ~drop))
-    return v0, float(np.prod(step)), per_level
-
-
-def graded_nodes_aniso(center, half_widths, cells_per_axis,
-                       levels: int, shrinks) -> tuple:
-    """Midpoint cubature with nested anisotropic refinement around `center`.
-
-    Each level's box and step shrink by the per-axis factors, so the fine
-    cells stay shaped like the kernel's anisotropy (weight-2 axes shrink
-    quadratically faster).  The innermost central cell is dropped.
-    """
-    v0, w0, per_level = _graded_levels(half_widths, cells_per_axis, levels,
-                                       shrinks)
-    nodes = [v0[keep] * scale for scale, keep in per_level]
-    weights = [np.full(len(n), w0 * float(np.prod(scale)))
-               for n, (scale, _) in zip(nodes, per_level)]
-    return (np.concatenate(nodes) + np.asarray(center, dtype=float),
-            np.concatenate(weights))
+        return np.sum(_fiber_terms(integrand, s, M), axis=-1) * (np.pi / M)
 
 
 def kernel_signed_and_abs_integral(kernel: TruncatedKernel, x,
@@ -294,7 +225,7 @@ def flux_constant(i: int, j: int, A=None, r: float = 1.0) -> float:
     Independent of r by homogeneity; evaluating at two radii is the
     cutoff-independence check.
     """
-    tilde = heisenberg_gamma(A)
+    tilde = HeisenbergGamma(A)
     lift = tilde.lift
     fn_j = tilde.word_fn((j,))
     c0 = normalization_constant()
@@ -330,19 +261,19 @@ def shell_constant(i: int, j: int, A=None, r0: float = 0.5,
     cutoff-independence check.  The derivative is taken symbolically and
     the integral by co-area.
     """
-    tilde = heisenberg_gamma(A)
+    tilde = HeisenbergGamma(A)
     lift = tilde.lift
     x1, x2, x3 = _H_SYMS
     N_expr = (x1 ** 4 + x2 ** 2 + x3 ** 4) ** sp.Rational(1, 4)
     t = (N_expr - r0) / (r1 - r0)
     if profile == "quintic":
-        omega = smoothstep_expr(t)
+        omega = _smoothstep_expr(t)
     elif profile == "cosine":
         omega = (1 - sp.cos(sp.pi * sp.Min(sp.Max(t, 0), 1))) / 2
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    inner = omega * lift.apply_word(tilde.expr_unit, (j,), _H_SYMS)
-    expr = lift.apply_field(inner, i, _H_SYMS)
+    inner = omega * word_apply_sympy(lift, (j,), tilde.expr_unit, _H_SYMS)
+    expr = word_apply_sympy(lift, (i,), inner, _H_SYMS)
     fn = sp.lambdify(_H_SYMS, expr, modules="numpy")
     c0 = normalization_constant()
 
@@ -355,7 +286,7 @@ def shell_constant(i: int, j: int, A=None, r0: float = 0.5,
 def cancellation_metric(i: int, j: int, A=None, r0: float = 0.5,
                         r1: float = 1.0) -> float:
     """|shell mean| / shell mean of |.| for the kernel Y_i Y_j Gamma."""
-    tilde = heisenberg_gamma(A)
+    tilde = HeisenbergGamma(A)
     fn = tilde.word_fn((i, j))
     c0 = normalization_constant()
 
@@ -373,18 +304,6 @@ def cancellation_metric(i: int, j: int, A=None, r0: float = 0.5,
 # ---------------------------------------------------------------------------
 # the operator and the second-derivative representation
 # ---------------------------------------------------------------------------
-
-def apply_T(kernel: TruncatedKernel, x, ys, wts, fvals) -> float:
-    """T f(x) = int K(x, y) f(y) dy over the supplied cubature."""
-    vals = kernel(np.asarray(x, dtype=float), ys)
-    return float(np.sum(wts * vals * fvals))
-
-
-def base_field_expr(f: sp.Expr, k: int) -> sp.Expr:
-    """X_k applied to f(y1, y2) for the grushin(1) generators."""
-    y1, y2 = _B_SYMS
-    return sp.diff(f, y1) if k == 0 else y1 * sp.diff(f, y2)
-
 
 def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
                             eps: float = 0.1, R: float = 20.0,
@@ -405,7 +324,8 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     F_fn = sp.lambdify(_B_SYMS + a_syms, base_operator_expr(
         sp.Matrix(2, 2, a_syms), u_expr), "numpy")
     target_fn = sp.lambdify(
-        _B_SYMS, base_field_expr(base_field_expr(u_expr, j), i), "numpy")
+        _B_SYMS, word_apply_sympy(grushin(1), (i, j), u_expr, _B_SYMS),
+        "numpy")
     a_vals = tuple(float(a) for a in Amat.ravel())
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
@@ -433,12 +353,11 @@ def kernel_eval(i: int, j: int, x, y, A=None) -> float:
     y = np.asarray(y, dtype=float)
     if np.allclose(x, y):
         raise ValueError("kernel is singular on the diagonal")
-    return float(grushin_gamma(A).x_derivative((i, j), x, y))
+    return float(GrushinGamma(A).x_derivative((i, j), x, y))
 
 
 def _metric_sample(centers, domain, cfg=None):
     """Base grushin metric with distance fields from the given centers."""
-    from .fields import grushin
     from .geometry import CCGraphConfig, get_metric
     sys_ = grushin(1)
     m = get_metric(sys_, domain, cfg or CCGraphConfig())
@@ -471,7 +390,7 @@ def standard_estimate_fit(i: int, j: int, A=None, n_centers: int = 20,
     centers = rng.uniform(-0.6, 0.6, size=(n_centers, 2))
     m, dfields = _metric_sample(centers, domain)
     counts = domain.counts
-    G = grushin_gamma(A)
+    G = GrushinGamma(A)
     vals, skipped = [], 0
     for c, df in zip(centers, dfields):
         dgrid = df.reshape(counts)
@@ -514,7 +433,7 @@ def mean_value_fit(i: int, j: int, A=None, n_centers: int = 12,
     centers = rng.uniform(-0.5, 0.5, size=(n_centers, 2))
     m, dfields = _metric_sample(centers, domain)
     counts = domain.counts
-    G = grushin_gamma(A)
+    G = GrushinGamma(A)
     vals, skipped = [], 0
     for x0, df in zip(centers, dfields):
         dgrid = df.reshape(counts)
@@ -553,7 +472,6 @@ def base_shell_integral(i: int, j: int, z, r0: float, r1: float, A=None,
     """
     from .domain import BoxDomain
     from .geometry import CCGraphConfig, cached_distance_field, get_metric
-    from .fields import grushin
     if domain is None:
         domain = BoxDomain((-2.0, -2.0), (2.0, 2.0), (81, 81))
     if r1 <= r0:
@@ -574,7 +492,7 @@ def base_shell_integral(i: int, j: int, z, r0: float, r1: float, A=None,
     refl_flat = np.full(idx.size, -1)
     refl_flat[ok] = np.ravel_multi_index(tuple(refl[ok].T), domain.counts)
     pts = domain.points()[idx]
-    G = grushin_gamma(A)
+    G = GrushinGamma(A)
     K = np.array([float(G.x_derivative((i, j), z, y)) for y in pts])
     flat_to_pos = {f: p for p, f in enumerate(idx)}
     total, used = 0.0, np.zeros(idx.size, dtype=bool)
@@ -617,7 +535,7 @@ def smoothed_vs_singular(i: int, j: int, eps: float, R: float, A=None,
     """
     kernel = TruncatedKernel(i, j, eps, R, A)
     eq = calibrate_equivalence(kernel.lift)
-    G = grushin_gamma(A)
+    G = GrushinGamma(A)
     if pairs is None:
         rng = np.random.default_rng(17)
         pairs = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
@@ -649,7 +567,7 @@ def lifted_abs_integral(i: int, j: int, eps: float, R: float, A=None,
     homogeneity, so the radial integral is done in log r, where the
     integrand is the smooth cutoff profile times a constant.
     """
-    tilde = heisenberg_gamma(A)
+    tilde = HeisenbergGamma(A)
     fn = tilde.word_fn((i, j))
     c0 = normalization_constant()
     profile = CutoffProfile(eps, R, calibrate_equivalence(tilde.lift).gamma2)
@@ -749,28 +667,6 @@ def apply_T_grid(kernel: TruncatedKernel, f) -> "object":
     M = operator_matrix(kernel, dom, nz)
     vals = (M @ f.values.ravel()[nz]) * dom.cell_volume
     return GridFunction(dom, vals.reshape(dom.counts), f.margin)
-
-
-def grid_interpolate(f, pts) -> np.ndarray:
-    """Bilinear values of a GridFunction at points; zero outside the box."""
-    dom = f.domain
-    pts = np.asarray(pts, dtype=float)
-    rel = (pts - np.array(dom.lower)) / dom.spacing
-    counts = np.array(dom.counts)
-    inside = np.all((rel >= 0) & (rel <= counts - 1), axis=-1)
-    base = np.clip(np.floor(rel).astype(int), 0, counts - 2)
-    frac = rel - base
-    out = np.zeros(pts.shape[:-1])
-    flat = f.values.ravel()
-    import itertools as _it
-    for off in _it.product((0, 1), repeat=dom.dim):
-        corner = base + np.array(off)
-        w = np.ones(pts.shape[:-1])
-        for k in range(dom.dim):
-            w = w * (frac[..., k] if off[k] else 1.0 - frac[..., k])
-        out += w * flat[np.ravel_multi_index(
-            tuple(np.moveaxis(corner, -1, 0)), dom.counts)]
-    return np.where(inside, out, 0.0)
 
 
 def _graded_kernel(kernel: TruncatedKernel, levels: int, cells: int):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -28,24 +27,12 @@ import sympy as sp
 
 from .domain import BoxDomain
 from .fields import (Poly, PolyVectorField, HormanderSystem, grushin,
-                     example3)
+                     example3, poly_to_sympy, word_apply_sympy)
 from .geometry import CCGraphConfig, CCMetric
 
 
 class LiftVerificationError(RuntimeError):
     pass
-
-
-def poly_to_sympy(p: Poly, syms) -> sp.Expr:
-    """Exact conversion of a sparse Fraction polynomial to a sympy expr."""
-    out = sp.Integer(0)
-    for e, c in p.terms.items():
-        term = sp.Rational(c.numerator, c.denominator)
-        for s, k in zip(syms, e):
-            if k:
-                term *= s ** k
-        out += term
-    return out
 
 
 @dataclass
@@ -119,15 +106,6 @@ class CarnotLift:
 
     def field_exprs(self, j: int, usyms):
         return [poly_to_sympy(c, usyms) for c in self.fields[j].comps]
-
-    def apply_field(self, expr: sp.Expr, j: int, usyms) -> sp.Expr:
-        comps = self.field_exprs(j, usyms)
-        return sum(c * sp.diff(expr, s) for c, s in zip(comps, usyms))
-
-    def apply_word(self, expr: sp.Expr, word, usyms) -> sp.Expr:
-        for j in reversed(word):
-            expr = self.apply_field(expr, j, usyms)
-        return expr
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +411,8 @@ def _identity_word_fn(word: tuple):
     if fn is None:
         x1, x2, x3 = _H_SYMS
         t = sp.Symbol("t", real=True)
-        expr = lift_grushin1().apply_word(_gamma_unit_expr(*_H_SYMS), word,
-                                          _H_SYMS)
+        expr = word_apply_sympy(lift_grushin1(), word,
+                                _gamma_unit_expr(*_H_SYMS), _H_SYMS)
         expr = expr.subs(x2, t + x1 * x3 / 2)
         fn = sp.lambdify((x1, t, x3), expr, modules="numpy")
         _IDENTITY_WORDS[word] = fn
@@ -510,10 +488,6 @@ class HeisenbergGamma:
         return out
 
 
-def heisenberg_gamma(A=None) -> HeisenbergGamma:
-    return HeisenbergGamma(A)
-
-
 def _gaussian_bump(widths, center=None):
     """Gaussian test function and its lifted-sublaplacian image (A = I)."""
     x1, x2, x3 = _H_SYMS
@@ -523,40 +497,74 @@ def _gaussian_bump(widths, center=None):
     return expr
 
 
-def _apply_operator(expr: sp.Expr, A: np.ndarray, lift: CarnotLift) -> sp.Expr:
+def _operator_expr(system, A, expr: sp.Expr, syms) -> sp.Expr:
+    """sum_ij a_ij X_i X_j expr over the two fields of `system`.
+
+    A may hold sympy symbols, so L_A can be compiled once for every matrix.
+    """
     out = sp.Integer(0)
     for i in range(2):
         for j in range(2):
-            if A[i, j] == 0:
-                continue
-            out += A[i, j] * lift.apply_word(expr, (i, j), _H_SYMS)
+            if A[i, j] != 0:
+                out += A[i, j] * word_apply_sympy(system, (i, j), expr, syms)
     return out
 
 
-def _graded_slabs(L: float, h: float, levels: int = 3,
-                  shrink: float = 4.0, slab: int = 16):
-    """Midpoint cubature on [-L, L]^3 with nested refinement around 0.
+def _graded_levels(half_widths, cells_per_axis, levels: int,
+                   shrinks) -> tuple:
+    """Nested anisotropic midpoint cubature as one base grid and its dilates.
 
-    Each level replaces the central block with a grid `shrink` times finer;
-    the innermost central cell is dropped (its contribution is O(cell^2)
-    for a kernel homogeneous of degree -2).  Yields (nodes, weight) for
-    x1 slabs of `slab` grid planes, so the cubature is never held whole.
+    Returns (v0, w0, per_level): v0 is the midpoint grid of cells_per_axis
+    cells on the box of the given half-widths, w0 its cell volume, and
+    level l of per_level is (scale, keep) with scale = shrinks^-l; that
+    level consists of the nodes v0[keep] * scale with weight
+    w0 * prod(scale).  Each level's box and step shrink by the per-axis
+    factors, so the fine cells stay shaped like the kernel's anisotropy
+    (weight-2 axes shrink quadratically faster); every level but the last
+    leaves out the box of the next, and the last drops its central cell.
+    For power-of-two shrinks the dilates are exact in floating point.
+
+    This is the one graded cubature of the package: the kernel cubatures
+    (``graded_nodes_aniso``, ``kernels._graded_kernel``), the base
+    reproduction test and the streamed normalization cubature all take
+    their nodes from it.  v0 is filled and the hole masks are built from
+    the 1-D axes, so no temporary of the grid's size is made.
     """
-    lo = L
-    step = h
+    half = np.asarray(half_widths, dtype=float)
+    shr = np.asarray(shrinks, dtype=float)
+    dim = half.size
+    cells = np.broadcast_to(np.asarray(cells_per_axis, dtype=int), (dim,))
+    step = 2 * half / cells
+    axes = np.meshgrid(*[-half[k] + (np.arange(cells[k]) + 0.5) * step[k]
+                         for k in range(dim)], indexing="ij", sparse=True)
+    v0 = np.empty(tuple(cells) + (dim,))
+    for k, ax in enumerate(axes):
+        v0[..., k] = ax
+    per_level = []
     for lev in range(levels + 1):
-        k = int(round(2 * lo / step))
-        ax = -lo + (np.arange(k) + 0.5) * step
-        for a in range(0, k, slab):
-            X, Y, Z = np.meshgrid(ax[a:a + slab], ax, ax, indexing="ij")
-            pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-            if lev < levels:
-                hole = np.all(np.abs(pts) < lo / shrink - 1e-12, axis=1)
-            else:
-                hole = np.all(np.abs(pts) < 0.5 * step, axis=1)
-            yield pts[~hole], step ** 3
-        lo = lo / shrink
-        step = step / shrink
+        scale = shr ** -lev
+        edge = (half * scale / shr - 1e-15 if lev < levels
+                else 0.5 * step * scale)
+        drop = np.ones(tuple(cells), dtype=bool)
+        for k, ax in enumerate(axes):
+            drop &= np.abs(ax * scale[k]) < edge[k]
+        per_level.append((scale, ~drop.ravel()))
+    return v0.reshape(-1, dim), float(np.prod(step)), per_level
+
+
+def graded_nodes_aniso(center, half_widths, cells_per_axis,
+                       levels: int, shrinks) -> tuple:
+    """Midpoint cubature with nested anisotropic refinement around `center`.
+
+    The levels of ``_graded_levels`` concatenated, as nodes and weights.
+    """
+    v0, w0, per_level = _graded_levels(half_widths, cells_per_axis, levels,
+                                       shrinks)
+    nodes = [v0[keep] * scale for scale, keep in per_level]
+    weights = [np.full(len(n), w0 * float(np.prod(scale)))
+               for n, (scale, _) in zip(nodes, per_level)]
+    return (np.concatenate(nodes) + np.asarray(center, dtype=float),
+            np.concatenate(weights))
 
 
 def _convolution_integrals(gamma_fn, Lu, xs, nodes=None,
@@ -564,12 +572,22 @@ def _convolution_integrals(gamma_fn, Lu, xs, nodes=None,
     """int Gamma(z) (L u)(x z^{-1}) dz at each x, graded around z = 0.
 
     gamma_fn maps nodes (n, 3) to kernel values.  Without explicit nodes
-    the shared calibration cubature (L = 8, h = 1/8, three levels) is
-    streamed in slabs.  x z^{-1} is written out from the group law.
+    the shared calibration cubature (half-width 8, 128 cells per axis,
+    three levels of shrink 4; the innermost central cell is dropped, its
+    contribution is O(cell^2) for a kernel of degree -2) is streamed in
+    slabs of 16 x1-planes per level, so no level is held whole.
+    x z^{-1} is written out from the group law.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    chunks = (_graded_slabs(8.0, 0.125) if nodes is None
-              else [(np.asarray(nodes, dtype=float), weights)])
+    if nodes is None:
+        v0, w0, per_level = _graded_levels((8.0,) * 3, 128, 3, (4.0,) * 3)
+        slab = 16 * 128 ** 2
+        chunks = ((v0[a:a + slab][keep[a:a + slab]] * scale,
+                   w0 * float(np.prod(scale)))
+                  for scale, keep in per_level
+                  for a in range(0, len(v0), slab))
+    else:
+        chunks = [(np.asarray(nodes, dtype=float), weights)]
     out = np.zeros(len(xs))
     for z, w in chunks:
         wG = w * gamma_fn(z)
@@ -589,8 +607,8 @@ def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
     Substituting z = y^{-1} * x turns this into a convolution against a
     fixed singular kernel; the quadrature is graded around z = 0.
     """
-    Lu = sp.lambdify(_H_SYMS, _apply_operator(bump_expr, gamma.A, gamma.lift),
-                     modules="numpy")
+    Lu = sp.lambdify(_H_SYMS, _operator_expr(gamma.lift, gamma.A, bump_expr,
+                                             _H_SYMS), modules="numpy")
     u_fn = sp.lambdify(_H_SYMS, bump_expr, modules="numpy")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     integrals = _convolution_integrals(
@@ -609,14 +627,15 @@ def normalization_constant() -> float:
     Fixed by matching the reproduction identity for one Gaussian profile at
     several evaluation points; a structurally different profile validates
     the value (`test` suite enforces the tolerance).  Calibrated lazily and
-    cached for the process lifetime; the cubature is streamed in slabs.
+    cached for the process lifetime; the cubature is streamed in slabs
+    (``_convolution_integrals``).
     """
     if _C0:
         return _C0[0]
-    gamma = heisenberg_gamma(None)
+    gamma = HeisenbergGamma()
     bump = _gaussian_bump((1.0, 1.5, 1.0))
-    Lu = sp.lambdify(_H_SYMS, _apply_operator(bump, np.eye(2), gamma.lift),
-                     modules="numpy")
+    Lu = sp.lambdify(_H_SYMS, _operator_expr(gamma.lift, np.eye(2), bump,
+                                             _H_SYMS), modules="numpy")
     u_fn = sp.lambdify(_H_SYMS, bump, modules="numpy")
     xs = np.array([[0.0, 0.0, 0.0], [0.4, 0.1, -0.2], [-0.3, 0.25, 0.35],
                    [0.15, -0.3, 0.1]])
@@ -649,29 +668,54 @@ def spd_sweep(count: int = 12, nu: float = 0.25, seed: int = 11) -> list:
 # saturation: integrating out the fiber
 # ---------------------------------------------------------------------------
 
+def _fiber_arg(x, y, eta):
+    """(x,0)^{-1} * (y, eta) for base points x, y; broadcasts over eta."""
+    x1 = x[..., 0][..., None]
+    x2 = x[..., 1][..., None]
+    y1 = y[..., 0][..., None]
+    y2 = y[..., 1][..., None]
+    return np.stack(np.broadcast_arrays(
+        y1 - x1, y2 - x2 - x1 * eta, eta + np.zeros_like(x1)), axis=-1)
+
+
+def _fiber_scale(lift: CarnotLift, x, y) -> np.ndarray:
+    """Homogeneous norm of the base displacement (y - x, 0)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = np.stack(np.broadcast_arrays(
+        y[..., 0] - x[..., 0], y[..., 1] - x[..., 1],
+        np.zeros(np.broadcast_shapes(x[..., 0].shape, y[..., 0].shape))),
+        axis=-1)
+    return lift.hom_norm(dx)
+
+
+def _fiber_terms(integrand, s, M: int) -> np.ndarray:
+    """Terms of the midpoint rule for int_R integrand(eta) d eta.
+
+    The eta line is compactified by eta = s tan(theta) at M midpoints of
+    (-pi/2, pi/2) (the fiber integrands decay like eta^{-2}, so the
+    transformed integrand is bounded); s has a trailing axis of length 1
+    and matches the integrand's scale.  Summed over the last axis and
+    multiplied by pi / M, the terms give the integral.  Shared by the
+    saturated kernels below and ``kernels.TruncatedKernel``.
+    """
+    theta = (np.arange(M) + 0.5) / M * np.pi - np.pi / 2
+    return integrand(s * np.tan(theta)) * (s / np.cos(theta) ** 2)
+
+
 class GrushinGamma:
     """Kernel on the base plane obtained by integrating out the fiber.
 
-    Gamma_A(x; y) = int_R GammaTilde_A((x,0)^{-1} * (y,eta)) d eta.
-    The eta line is compactified by eta = s tan(theta) (the integrand decays
-    like eta^{-2}, so the transformed integrand is bounded); the midpoint
-    rule is doubled until two resolutions agree to `rtol`.
+    Gamma_A(x; y) = int_R GammaTilde_A((x,0)^{-1} * (y,eta)) d eta, by the
+    rule of ``_fiber_terms`` with M doubled until two resolutions agree to
+    `rtol`.
     """
 
     def __init__(self, A=None, rtol: float = 1e-3, base_nodes: int = 96):
-        self.tilde = heisenberg_gamma(A)
+        self.tilde = HeisenbergGamma(A)
         self.lift = self.tilde.lift
         self.rtol = rtol
         self.base_nodes = base_nodes
-
-    def _fiber_arg(self, x, y, eta):
-        """(x,0)^{-1} * (y, eta) for base points x, y; broadcasts over eta."""
-        x1 = x[..., 0][..., None]
-        x2 = x[..., 1][..., None]
-        y1 = y[..., 0][..., None]
-        y2 = y[..., 1][..., None]
-        return np.stack(np.broadcast_arrays(
-            y1 - x1, y2 - x2 - x1 * eta, eta + np.zeros_like(x1)), axis=-1)
 
     def _saturate(self, fn, x, y, scale):
         x = np.asarray(x, dtype=float)
@@ -680,14 +724,9 @@ class GrushinGamma:
         prev = None
         M = self.base_nodes
         for _ in range(5):
-            theta = (np.arange(M) + 0.5) / M * np.pi - np.pi / 2
-            dtheta = np.pi / M
-            eta = s * np.tan(theta)
-            jac = s / np.cos(theta) ** 2
-            z = self._fiber_arg(x, y, eta)
-            vals = fn(z)
-            cur = np.sum(vals * jac, axis=-1) * dtheta
-            cur_abs = np.sum(np.abs(vals) * jac, axis=-1) * dtheta
+            terms = _fiber_terms(lambda eta: fn(_fiber_arg(x, y, eta)), s, M)
+            cur = np.sum(terms, axis=-1) * (np.pi / M)
+            cur_abs = np.sum(np.abs(terms), axis=-1) * (np.pi / M)
             if prev is not None:
                 # near zeros of an oscillating kernel the signed value is an
                 # unusable yardstick; fall back to a fraction of the mass
@@ -699,110 +738,48 @@ class GrushinGamma:
             M *= 2
         raise RuntimeError("fiber quadrature did not converge")
 
-    def _scale(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dx = np.stack(np.broadcast_arrays(
-            y[..., 0] - x[..., 0], y[..., 1] - x[..., 1],
-            np.zeros(np.broadcast_shapes(x[..., 0].shape, y[..., 0].shape))),
-            axis=-1)
-        return self.lift.hom_norm(dx)
-
     def value(self, x, y) -> np.ndarray:
-        return self._saturate(lambda z: self.tilde.value(z), x, y,
-                              self._scale(x, y))
+        return self._saturate(self.tilde.value, x, y,
+                              _fiber_scale(self.lift, x, y))
 
     def x_derivative(self, word, x, y) -> np.ndarray:
         """(X_word)_x Gamma_A(x; y): the Y-word kernel, fiber attached to x.
 
         Uses int (Y_word GammaTilde)((y,0)^{-1} * (x, eta)) d eta.
         """
-        fn = self.tilde.word_fn(word)
-        c0 = normalization_constant()
-
-        def eval_fn(z):
-            return c0 * np.asarray(
-                fn(z[..., 0], z[..., 1], z[..., 2]), dtype=float)
-
-        return self._saturate(eval_fn, y, x, self._scale(x, y))
+        return self._saturate(lambda z: self.tilde.word_value(word, z), y, x,
+                              _fiber_scale(self.lift, x, y))
 
     def y_derivative(self, word, x, y) -> np.ndarray:
         """(X_word)_y Gamma_A(x; y), fiber attached to y."""
-        fn = self.tilde.word_fn(word)
-        c0 = normalization_constant()
-
-        def eval_fn(z):
-            return c0 * np.asarray(
-                fn(z[..., 0], z[..., 1], z[..., 2]), dtype=float)
-
-        return self._saturate(eval_fn, x, y, self._scale(x, y))
+        return self._saturate(lambda z: self.tilde.word_value(word, z), x, y,
+                              _fiber_scale(self.lift, x, y))
 
 
 _B_SYMS = sp.symbols("y1 y2", real=True)
 
 
-def _graded_nodes_2d(center, L: float, h: float, levels: int = 2,
-                     shrink: float = 4.0) -> tuple:
-    """Midpoint cubature on a square around `center`, refined near center."""
-    nodes = []
-    weights = []
-    lo = L
-    step = h
-    for lev in range(levels + 1):
-        k = int(round(2 * lo / step))
-        ax = -lo + (np.arange(k) + 0.5) * step
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        if lev < levels:
-            inner = lo / shrink
-            hole = np.all(np.abs(pts) < inner - 1e-12, axis=1)
-            pts = pts[~hole]
-        else:
-            mid = np.all(np.abs(pts) < 0.5 * step, axis=1)
-            pts = pts[~mid]
-        nodes.append(pts)
-        weights.append(np.full(pts.shape[0], step ** 2))
-        lo = lo / shrink
-        step = step / shrink
-    return np.concatenate(nodes) + np.asarray(center), np.concatenate(weights)
-
-
 def base_operator_expr(A: np.ndarray, expr: sp.Expr) -> sp.Expr:
     """sum_ij a_ij X_i X_j applied to expr(y1, y2) for the grushin(1) pair."""
-    y1, y2 = _B_SYMS
-    base = grushin(1)
-
-    def apply_field(f, j):
-        comps = [poly_to_sympy(c, _B_SYMS) for c in base.fields[j].comps]
-        return sum(c * sp.diff(f, s) for c, s in zip(comps, _B_SYMS))
-
-    out = sp.Integer(0)
-    for i in range(2):
-        for j in range(2):
-            if A[i, j] != 0:
-                out += A[i, j] * apply_field(apply_field(expr, j), i)
-    return out
+    return _operator_expr(grushin(1), A, expr, _B_SYMS)
 
 
 def base_reproduction_residual(A, bump_expr: sp.Expr, xs,
                                L: float = 6.0, h: float = 0.15) -> float:
     """Max relative error of u(x) = int Gamma_A(x; y) (L_A u)(y) dy on R^2."""
     Amat = np.eye(2) if A is None else np.asarray(A, dtype=float)
-    G = grushin_gamma(A)
+    G = GrushinGamma(A)
     Lu = sp.lambdify(_B_SYMS, base_operator_expr(Amat, bump_expr), "numpy")
     u_fn = sp.lambdify(_B_SYMS, bump_expr, "numpy")
     worst = 0.0
     for x in np.atleast_2d(np.asarray(xs, dtype=float)):
-        ys, wts = _graded_nodes_2d(x, L, h)
+        ys, wts = graded_nodes_aniso(x, (L, L), int(round(2 * L / h)), 2,
+                                     (4.0, 4.0))
         vals = G.value(x, ys)
         integral = float(np.sum(wts * vals * Lu(ys[:, 0], ys[:, 1])))
         target = float(u_fn(*x))
         worst = max(worst, abs(integral - target) / abs(target))
     return worst
-
-
-def grushin_gamma(A=None) -> GrushinGamma:
-    return GrushinGamma(A)
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +917,8 @@ def cutoff_family(lift: CarnotLift, x, R: float, domain: BoxDomain,
     words = [(), *[(i,) for i in range(lift.base.m)],
              *[(i, j) for i in range(lift.base.m)
                for j in range(lift.base.m)]]
-    word_fns = {w: sp.lambdify(usyms, lift.apply_word(psi, w, usyms), "numpy")
+    word_fns = {w: sp.lambdify(usyms, word_apply_sympy(lift, w, psi, usyms),
+                               "numpy")
                 for w in words}
 
     metric = get_metric(lift.base, domain, cfg)

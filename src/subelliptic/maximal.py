@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import BoxDomain, GridFunction, MarginError
 from .fields import HormanderSystem
-from .geometry import CCGraphConfig, CCMetric, get_metric
+from .geometry import CCGraphConfig, get_metric
 
 
 class CoverageGapError(RuntimeError):
@@ -32,8 +32,10 @@ class BallFamily:
     """Finite family of metric balls: strided centers, dyadic radii.
 
     distance[c, p] is the CC distance from center c to grid point p, so the
-    ball (c, r) is the boolean slice distance[c] < r.  clipped[c, k] flags
-    balls of radius radii[k] around center c that reach the box boundary.
+    ball (c, r) is the boolean slice distance[c] < r.  The family radii are
+    sliced once, when the family is built: members[k] is the 0/1 float
+    matrix (C, num_points) of the radius-radii[k] balls, counts[k] their
+    node counts, and clipped[c, k] flags balls that reach the box boundary.
     """
 
     domain: BoxDomain
@@ -41,9 +43,11 @@ class BallFamily:
     centers: np.ndarray            # (C, n) points
     radii: np.ndarray              # increasing, radii[k] = r0 * 2^k
     distance: np.ndarray           # (C, num_points)
-    clipped: np.ndarray            # (C, K) bool
     stride: int = 1
 
+    members: np.ndarray = field(init=False, repr=False)   # (K, C, P) 0/1
+    counts: np.ndarray = field(init=False, repr=False)    # (K, C)
+    clipped: np.ndarray = field(init=False, repr=False)   # (C, K) bool
     _border: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -53,14 +57,15 @@ class BallFamily:
         border = np.ones(self.domain.counts, dtype=bool)
         border[tuple(slice(1, -1) for _ in self.domain.counts)] = False
         self._border = border.ravel()
+        self.members = np.empty((len(self.radii),) + self.distance.shape)
+        for k, r in enumerate(self.radii):
+            np.less(self.distance, r, out=self.members[k])
+        self.counts = self.members.sum(axis=2)
+        self.clipped = self.members[:, :, self._border].any(axis=2).T
 
     @property
     def num_centers(self) -> int:
         return int(self.centers.shape[0])
-
-    def masks(self, k: int) -> np.ndarray:
-        """Membership masks (C, num_points) for radius index k."""
-        return self.distance < self.radii[k]
 
     def ball_mask(self, center_idx: int, r: float) -> np.ndarray:
         return self.distance[center_idx] < r
@@ -69,7 +74,7 @@ class BallFamily:
         return bool(np.any(mask & self._border))
 
     def coverage(self, k: int) -> float:
-        return float(np.count_nonzero(self.masks(k).any(axis=0))) \
+        return float(np.count_nonzero(self.members[k].any(axis=0))) \
             / self.domain.num_points
 
 
@@ -96,17 +101,12 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
         dist[lo:lo + chunk] = metric.distance_fields(centers[lo:lo + chunk])
     radii = r0 * 2.0 ** np.arange(num_radii)
     fam = BallFamily(domain=domain, q=float(system.q), centers=centers,
-                     radii=radii, distance=dist, clipped=np.zeros(
-                         (centers.shape[0], num_radii), dtype=bool),
-                     stride=stride)
-    for k in range(num_radii):
-        masks = fam.masks(k)
-        fam.clipped[:, k] = (masks & fam._border[None, :]).any(axis=1)
-        if k == 0 and not masks.any(axis=0).all():
-            missing = int(np.count_nonzero(~masks.any(axis=0)))
-            raise CoverageGapError(
-                f"{missing} grid points outside every radius-{radii[0]:g} "
-                f"ball; decrease stride or increase r0")
+                     radii=radii, distance=dist, stride=stride)
+    covered = fam.members[0].any(axis=0)
+    if not covered.all():
+        raise CoverageGapError(
+            f"{int(np.count_nonzero(~covered))} grid points outside every "
+            f"radius-{radii[0]:g} ball; decrease stride or increase r0")
     return fam
 
 
@@ -123,35 +123,37 @@ def refine_family(fam: BallFamily, system: HormanderSystem,
 # maximal functions
 # ---------------------------------------------------------------------------
 
-def _usable(fam: BallFamily, k: int, trust: np.ndarray) -> np.ndarray:
-    """Centers whose radius-k ball is unclipped and inside trusted samples."""
-    masks = fam.masks(k)
-    ok = ~fam.clipped[:, k]
-    if not trust.all():
-        ok &= ~(masks & ~trust[None, :]).any(axis=1)
-    return ok
+def _ball_stats(f: GridFunction, fam: BallFamily, oscillation: bool):
+    """Per family radius: the usable balls and one statistic of f on each.
+
+    A ball is usable when it is unclipped and lies inside f's trusted
+    samples.  Yields (members, stat) per radius: the 0/1 rows of the
+    usable balls and, per ball, the mean of |f| or the mean oscillation of
+    f.  The one statistic behind the maximal functions and the VMO modulus.
+    """
+    vals = f.values.ravel()
+    trust = f.interior_mask().ravel()
+    for k in range(len(fam.radii)):
+        ok = ~fam.clipped[:, k]
+        if not trust.all():
+            ok &= ~fam.members[k][:, ~trust].any(axis=1)
+        members, counts = fam.members[k][ok], fam.counts[k][ok]
+        if oscillation:
+            avg = (members @ vals) / counts
+            stat = (members * np.abs(vals - avg[:, None])).sum(axis=1)
+        else:
+            stat = members @ np.abs(vals)
+        yield members, stat / counts
 
 
 def _family_sup(f: GridFunction, fam: BallFamily, oscillation: bool):
-    vals = f.values.ravel()
-    absvals = np.abs(vals)
     out = np.zeros(f.domain.num_points)
     covered = np.zeros(f.domain.num_points, dtype=bool)
-    trust = f.interior_mask().ravel()
-    for k in range(len(fam.radii)):
-        ok = _usable(fam, k, trust)
-        if not ok.any():
+    for members, stat in _ball_stats(f, fam, oscillation):
+        if not len(stat):
             continue
-        masks = fam.masks(k)[ok]
-        counts = masks.sum(axis=1)
-        if oscillation:
-            avg = (masks @ vals) / counts
-            stat = np.abs(vals[None, :] - avg[:, None])
-            stat = np.where(masks, stat, 0.0).sum(axis=1) / counts
-        else:
-            stat = (masks @ absvals) / counts
-        out = np.maximum(out, np.where(masks, stat[:, None], 0.0).max(axis=0))
-        covered |= masks.any(axis=0)
+        out = np.maximum(out, (members * stat[:, None]).max(axis=0))
+        covered |= members.any(axis=0)
     margin = _covering_margin(covered, f.domain)
     return GridFunction(f.domain, out.reshape(f.domain.counts),
                         max(margin, f.margin)), covered
@@ -209,17 +211,8 @@ def vmo_modulus(f: GridFunction, fam: BallFamily,
     """
     vals = f.values.ravel()
     trust = f.interior_mask().ravel()
-    per_radius = np.zeros(len(fam.radii))
-    for k in range(len(fam.radii)):
-        ok = _usable(fam, k, trust)
-        if not ok.any():
-            continue
-        masks = fam.masks(k)[ok]
-        counts = masks.sum(axis=1)
-        avg = (masks @ vals) / counts
-        osc = np.where(masks, np.abs(vals[None, :] - avg[:, None]), 0.0)
-        per_radius[k] = float((osc.sum(axis=1) / counts).max())
-    eta = np.maximum.accumulate(per_radius)
+    eta = np.maximum.accumulate([stat.max() if len(stat) else 0.0
+                                 for _, stat in _ball_stats(f, fam, True)])
     slope = None
     if grad_sup is not None and grad_sup > 0:
         slope = float(np.max(eta / (fam.radii * grad_sup)))

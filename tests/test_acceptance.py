@@ -133,11 +133,11 @@ def test_04_lift_validation(lift1):
     xs = np.array([[0.2, -0.1, 0.15], [-0.25, 0.2, -0.1]])
     bump = liftgroup._gaussian_bump((1.2, 0.9, 1.3))
     res_id = liftgroup.reproduction_residual(
-        liftgroup.heisenberg_gamma(None), bump, xs)
+        liftgroup.HeisenbergGamma(), bump, xs)
     worst = 0.0
     for A in liftgroup.spd_sweep(12, nu=0.25):
         worst = max(worst, liftgroup.reproduction_residual(
-            liftgroup.heisenberg_gamma(A), bump, xs))
+            liftgroup.HeisenbergGamma(A), bump, xs))
     _gate(4, "lift validation and reproduction",
           rep.passed and res_id <= 0.005 and worst <= 0.02,
           f"verify={rep.passed}, residual(I)={res_id:.4f}, "
@@ -147,7 +147,7 @@ def test_04_lift_validation(lift1):
 # -- 5 -----------------------------------------------------------------------
 
 def test_05_saturation_identities():
-    G = liftgroup.grushin_gamma(None)
+    G = liftgroup.GrushinGamma()
     x = np.array([0.3, 0.2])
     y = np.array([-0.2, 0.45])
     lam = 2.0

@@ -10,9 +10,8 @@ from subelliptic.estimates import (DiscreteOperator, EllipticityError,
                                    apply_field_grid, apply_L, apply_word_grid,
                                    apriori_ratio, grid_from_expr,
                                    higher_order_ratio, interpolation_check,
-                                   leibniz_expand, sobolev_norm,
-                                   word_apply_sympy)
-from subelliptic.fields import lie_bracket
+                                   leibniz_expand, sobolev_norm)
+from subelliptic.fields import lie_bracket, poly_to_sympy, word_apply_sympy
 
 
 def max_interior_gap(a, b, extra=0):
@@ -43,7 +42,7 @@ def test_commutator_matches_bracket(g1, dom81, xs2):
     comm = ab - ba
     Z = lie_bracket(g1.fields[0], g1.fields[1])
     oracle_expr = sum(
-        es.poly_to_sympy(c, xs2) * sp.diff(expr, xs2[k])
+        poly_to_sympy(c, xs2) * sp.diff(expr, xs2[k])
         for k, c in enumerate(Z.comps))
     oracle = grid_from_expr(dom81, oracle_expr, xs2, margin=comm.margin)
     assert max_interior_gap(comm, oracle) < 2e-2

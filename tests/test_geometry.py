@@ -107,3 +107,84 @@ def test_linf_oracle_doubling_and_value_iteration_bound(g1):
         assert np.min(vi - exact) >= -1e-9
     extrap = 2.0 * ratios[1] - ratios[0]
     assert extrap == pytest.approx(8.0, rel=0.05)
+
+
+def _moves_per_corner(metric):
+    """Move tables built corner by corner, the former construction."""
+    import itertools
+    dom = metric.domain
+    pts = dom.points()
+    lower, h = np.array(dom.lower), dom.spacing
+    counts = np.array(dom.counts)
+    offsets = list(itertools.product((0, 1), repeat=dom.dim))
+    levels = np.linspace(-1.0, 1.0, metric.cfg.controls_per_field)
+    moves = []
+    for combo in itertools.product(levels, repeat=metric.system.m):
+        a = np.array(combo)
+        if np.max(np.abs(a)) == 0.0:
+            continue
+        end = geometry._rk4_flow(metric.system, a, pts, metric.tau,
+                                 metric.cfg.substeps)
+        rel = (end - lower) / h
+        base = np.floor(rel).astype(int)
+        frac = rel - base
+        valid = np.all((base >= 0) & (base <= counts - 2), axis=1)
+        base_c = np.clip(base, 0, counts - 2)
+        idx = np.empty((len(pts), len(offsets)), dtype=np.int64)
+        wts = np.empty((len(pts), len(offsets)))
+        for c, off in enumerate(offsets):
+            idx[:, c] = np.ravel_multi_index(tuple((base_c + off).T),
+                                             dom.counts)
+            w = np.ones(len(pts))
+            for k in range(dom.dim):
+                w = w * (frac[:, k] if off[k] else 1.0 - frac[:, k])
+            wts[:, c] = w
+        moves.append((metric.tau * np.max(np.abs(a)), idx, wts, valid))
+    return moves
+
+
+def _interpolate_per_corner(dom, field_flat, x):
+    """Multilinear interpolation corner by corner, the former loop."""
+    import itertools
+    rel = (x - np.array(dom.lower)) / dom.spacing
+    base = np.clip(np.floor(rel).astype(int), 0, np.array(dom.counts) - 2)
+    frac = rel - base
+    out = 0.0
+    for off in itertools.product((0, 1), repeat=dom.dim):
+        w = np.prod([frac[k] if off[k] else 1.0 - frac[k]
+                     for k in range(dom.dim)])
+        out += w * field_flat[np.ravel_multi_index(tuple(base + off),
+                                                   dom.counts)]
+    return float(out)
+
+
+def test_moves_and_interpolation_match_corner_loop(g1, dom41):
+    # the shared corner/weight helper reproduces the former per-corner
+    # loops bitwise; rows of invalid moves are never read (value iteration
+    # masks them), so only their validity flag is compared
+    from subelliptic.liftgroup import control_system, lift_grushin1
+    lifted = geometry.CCMetric(
+        control_system(lift_grushin1()),
+        BoxDomain((-1.0,) * 3, (1.0,) * 3, (9,) * 3))
+    for m in (get_metric(g1, dom41), lifted):
+        ref = _moves_per_corner(m)
+        assert len(ref) == len(m._moves)
+        for (cost, idx, wts, valid), (rc, ridx, rwts, rvalid) in zip(
+                m._moves, ref):
+            assert cost == rc and np.array_equal(valid, rvalid)
+            assert np.array_equal(idx[valid], ridx[valid])
+            assert np.array_equal(wts[valid], rwts[valid])
+    m = get_metric(g1, dom41)
+    field = cached_distance_field(m, (0.3, -0.2))
+    rng = np.random.default_rng(2)
+    # points outside the box extrapolate from the boundary cell
+    for x in rng.uniform(-2.3, 2.3, (60, 2)):
+        assert m.interpolate(field, x) == \
+            _interpolate_per_corner(dom41, field, x)
+
+
+def test_unconverged_value_iteration_raises(g1):
+    dom = BoxDomain((-1.0, -1.0), (1.0, 1.0), (11, 11))
+    m = geometry.CCMetric(g1, dom, geometry.CCGraphConfig(tolerance=-1.0))
+    with pytest.raises(geometry.UnresolvedDistanceError):
+        m.distance_field((0.0, 0.0))

@@ -166,7 +166,9 @@ def _graded_nodes_direct(center, half_widths, cells_per_axis, levels,
 
 @pytest.mark.parametrize("args", [
     ((0.2, 0.1), (1.3, 1.7), 48, 5, (4.0, 16.0)),
-    ((0.0, 0.0, 0.0), (1.1, 1.3, 1.1), (16, 32, 16), 4, (4.0, 16.0, 4.0))])
+    ((0.0, 0.0, 0.0), (1.1, 1.3, 1.1), (16, 32, 16), 4, (4.0, 16.0, 4.0)),
+    # base_reproduction_residual's cubature at its defaults L = 6, h = 0.15
+    ((0.3, -0.2), (6.0, 6.0), 80, 2, (4.0, 4.0))])
 def test_graded_levels_are_exact_dilates(args):
     # power-of-two shrinks make every level an exact dilate of the base grid
     got = kernels.graded_nodes_aniso(*args)
@@ -218,6 +220,7 @@ def test_weight_tables_match_gather():
 def test_representation_levels_by_homogeneity(lift1):
     # reusing K w across the dilated levels must match evaluating the
     # kernel on every level and lifting with the Poly group law
+    from subelliptic.fields import grushin, word_apply_sympy
     from subelliptic.liftgroup import base_operator_expr
     y1, y2 = kernels._B_SYMS
     u = sp.exp(-(y1 ** 2 + 2 * y2 ** 2)) * sp.cos(y1)
@@ -227,8 +230,8 @@ def test_representation_levels_by_homogeneity(lift1):
     got = kernels.representation_residual(i, j, A, u, xs, eps=eps, R=R,
                                           levels=levels, cells=cells)
     F_fn = sp.lambdify(kernels._B_SYMS, base_operator_expr(A, u), "numpy")
-    target_fn = sp.lambdify(kernels._B_SYMS, kernels.base_field_expr(
-        kernels.base_field_expr(u, j), i), "numpy")
+    target_fn = sp.lambdify(kernels._B_SYMS, word_apply_sympy(
+        grushin(1), (i, j), u, kernels._B_SYMS), "numpy")
     k = TruncatedKernel(i, j, eps, R, A)
     vs, Kw = _lifted_nodes(k, levels, cells)
     vinv = lift1.inverse(vs)

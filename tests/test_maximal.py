@@ -138,3 +138,47 @@ def test_mean_oscillation_matches_definition():
     vals = np.array([1.0, 3.0, 5.0, 100.0])
     mask = np.array([True, True, True, False])
     assert mean_oscillation(vals, mask) == pytest.approx(4.0 / 3.0)
+
+
+def _direct_family_stats(f, fam, oscillation):
+    """Per radius, the usable balls' statistic with every ball sliced
+    afresh as distance < r, the former construction."""
+    vals = f.values.ravel()
+    trust = f.interior_mask().ravel()
+    border = np.ones(fam.domain.counts, dtype=bool)
+    border[1:-1, 1:-1] = False
+    border = border.ravel()
+    for r in fam.radii:
+        masks = fam.distance < r
+        ok = ~(masks & border).any(axis=1) & ~(masks & ~trust).any(axis=1)
+        masks = masks[ok]
+        counts = masks.sum(axis=1)
+        if oscillation:
+            avg = (masks @ vals) / counts
+            stat = np.where(masks, np.abs(vals - avg[:, None]), 0.0)
+            stat = stat.sum(axis=1) / counts
+        else:
+            stat = (masks @ np.abs(vals)) / counts
+        yield masks, stat
+
+
+def test_family_statistics_match_direct_slicing(family41, suite41):
+    for f in suite41:
+        for fn, osc in ((hl_maximal, False), (sharp_maximal, True)):
+            got = fn(f, family41)
+            ref = np.zeros(f.domain.num_points)
+            covered = np.zeros(f.domain.num_points, dtype=bool)
+            for masks, stat in _direct_family_stats(f, family41, osc):
+                if len(stat):
+                    ref = np.maximum(ref, np.where(masks, stat[:, None],
+                                                   0.0).max(axis=0))
+                    covered |= masks.any(axis=0)
+            np.testing.assert_allclose(got.values.ravel(), ref, rtol=0,
+                                       atol=1e-14)
+            assert got.margin == max(f.margin, maximal._covering_margin(
+                covered, f.domain))
+        eta = np.maximum.accumulate(
+            [stat.max() if len(stat) else 0.0
+             for _, stat in _direct_family_stats(f, family41, True)])
+        np.testing.assert_allclose(vmo_modulus(f, family41).eta, eta,
+                                   rtol=0, atol=1e-14)
