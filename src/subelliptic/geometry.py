@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .domain import BoxDomain
 from .fields import HormanderSystem
@@ -98,7 +99,14 @@ def _corner_weights(domain: BoxDomain, x: np.ndarray) -> tuple:
 
 
 class CCMetric:
-    """Discrete CC metric on a box grid via Bellman value iteration."""
+    """Discrete CC metric on a box grid via Bellman value iteration.
+
+    Each control move is one sparse operator P with (P d)[p] the
+    multilinear interpolation of d at the move's endpoint from p, and one
+    cost per row: the move's time for rows whose endpoint cell lies in the
+    grid, _BIG for the empty rows of moves that leave it.  A sweep is then
+    d <- min(d, min over moves of cost + P d).
+    """
 
     def __init__(self, system: HormanderSystem, domain: BoxDomain,
                  cfg: CCGraphConfig = CCGraphConfig()):
@@ -110,11 +118,20 @@ class CCMetric:
         self.tau = cfg.tau if cfg.tau is not None else \
             cfg.step_cells * float(np.min(domain.spacing))
         self._moves = self._build_moves()
+        self._corner_moves = None
 
     def _build_moves(self):
+        """(cost, P) per move, P in the two-lane layout (2p x p).
+
+        Rows 2i and 2i + 1 hold the even and the odd corners of node i
+        (itertools.product order), so (P d)[0::2] + (P d)[1::2] sums the
+        corners as the two lanes (c0 + c2 + ...) + (c1 + c3 + ...).
+        """
         dom, sys_, tau = self.domain, self.system, self.tau
         pts = dom.points()
-        counts = np.array(dom.counts)
+        npts, counts = dom.num_points, np.array(dom.counts)
+        ncorner = 2 ** dom.dim
+        lanes = np.r_[0:ncorner:2, 1:ncorner:2]
         levels = np.linspace(-1.0, 1.0, self.cfg.controls_per_field)
         moves = []
         for combo in itertools.product(levels, repeat=sys_.m):
@@ -126,8 +143,34 @@ class CCMetric:
             idx, wts, cell = _corner_weights(dom, end)
             # a move whose endpoint cell leaves the grid is not taken
             valid = np.all((cell >= 0) & (cell <= counts - 2), axis=1)
-            moves.append((tau * amax, idx, wts, valid))
+            row_nnz = np.repeat(valid * (ncorner // 2), 2)
+            indptr = np.zeros(2 * npts + 1, dtype=np.int32)
+            np.cumsum(row_nnz, out=indptr[1:])
+            op = sparse.csr_matrix(
+                (wts[valid][:, lanes].ravel(),
+                 idx[valid][:, lanes].ravel().astype(np.int32), indptr),
+                shape=(2 * npts, npts))
+            moves.append((np.where(valid, tau * amax, _BIG), op))
         return moves
+
+    def _corner_order_moves(self):
+        """(cost, P) per move, P (p x p) summing the corners in order.
+
+        Derived once from the two-lane operators: a valid node's entries
+        are its 2^dim corners, lane by lane, so reordering them per node
+        gives the corner order.
+        """
+        if self._corner_moves is None:
+            npts, ncorner = self.domain.num_points, 2 ** self.domain.dim
+            self._corner_moves = [
+                (cost, sparse.csr_matrix(
+                    (op.data.reshape(-1, 2, ncorner // 2)
+                     .transpose(0, 2, 1).ravel(),
+                     op.indices.reshape(-1, 2, ncorner // 2)
+                     .transpose(0, 2, 1).ravel(), op.indptr[0::2]),
+                    shape=(npts, npts)))
+                for cost, op in self._moves]
+        return self._corner_moves
 
     def distance_fields(self, sources) -> np.ndarray:
         """Distances from each source point; shape (k, num_points).
@@ -137,24 +180,33 @@ class CCMetric:
         """
         src = np.atleast_2d(np.asarray(sources, dtype=float))
         nsrc, npts = src.shape[0], self.domain.num_points
-        d = np.full((nsrc, npts), _BIG)
+        d = np.full((npts, nsrc), _BIG)
         for s in range(nsrc):
-            d[s, self.domain.flat_index_of(src[s])] = 0.0
+            d[self.domain.flat_index_of(src[s]), s] = 0.0
+        # The batch size is a property of the input, and it fixes the order
+        # in which the corner products are added: one source adds them in
+        # two lanes, several in corner order.  Ball volumes are decided at
+        # rounding level, so one order for both would move recorded results
+        # (the perfbench `balls` workload builds one-source fields, its
+        # `realanalysis` workload 48-source batches); both layouts are kept.
+        moves = self._moves if nsrc == 1 else self._corner_order_moves()
         diameter = float(np.linalg.norm(
             np.array(self.domain.upper) - np.array(self.domain.lower)))
         max_sweeps = int(20 * diameter / self.tau) + 100
         tol = self.cfg.tolerance
+        d_new = d.copy()
         for _ in range(max_sweeps):
-            d_new = d
-            for cost, idx, wts, valid in self._moves:
-                interp = np.einsum("kpc,pc->kp", d[:, idx], wts)
-                cand = cost + interp
-                cand = np.where(valid[None, :], cand, _BIG)
-                d_new = np.minimum(d_new, cand)
+            for cost, op in moves:
+                cand = op @ d
+                if nsrc == 1:
+                    cand = cand[0::2] + cand[1::2]
+                cand += cost[:, None]
+                np.minimum(d_new, cand, out=d_new)
             delta = np.max(d - d_new)
-            d = d_new
+            d, d_new = d_new, d
             if delta < tol:
-                return d
+                return np.ascontiguousarray(d.T)
+            d_new[...] = d
         raise UnresolvedDistanceError(
             f"value iteration not converged after {max_sweeps} sweeps "
             f"(last change {delta:.3g}, tolerance {tol:.3g})")

@@ -29,6 +29,10 @@ from .liftgroup import (GrushinGamma, HeisenbergGamma, _B_SYMS, _H_SYMS,
 
 _SQRT_EPS = 1e-300
 
+# the one base system, so get_metric's per-system cache (metric and
+# distance fields) is shared by every call in this module
+_BASE_SYSTEM = grushin(1)
+
 
 def smoothstep(t):
     """Quintic smoothstep: 0 below 0, 1 above 1, C^2 in between."""
@@ -324,7 +328,7 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     F_fn = sp.lambdify(_B_SYMS + a_syms, base_operator_expr(
         sp.Matrix(2, 2, a_syms), u_expr), "numpy")
     target_fn = sp.lambdify(
-        _B_SYMS, word_apply_sympy(grushin(1), (i, j), u_expr, _B_SYMS),
+        _B_SYMS, word_apply_sympy(_BASE_SYSTEM, (i, j), u_expr, _B_SYMS),
         "numpy")
     a_vals = tuple(float(a) for a in Amat.ravel())
     kernel = TruncatedKernel(i, j, eps, R, A)
@@ -359,8 +363,7 @@ def kernel_eval(i: int, j: int, x, y, A=None) -> float:
 def _metric_sample(centers, domain, cfg=None):
     """Base grushin metric with distance fields from the given centers."""
     from .geometry import CCGraphConfig, get_metric
-    sys_ = grushin(1)
-    m = get_metric(sys_, domain, cfg or CCGraphConfig())
+    m = get_metric(_BASE_SYSTEM, domain, cfg or CCGraphConfig())
     fields = m.distance_fields(centers)
     return m, fields
 
@@ -476,7 +479,7 @@ def base_shell_integral(i: int, j: int, z, r0: float, r1: float, A=None,
         domain = BoxDomain((-2.0, -2.0), (2.0, 2.0), (81, 81))
     if r1 <= r0:
         return 0.0
-    m = get_metric(grushin(1), domain, CCGraphConfig())
+    m = get_metric(_BASE_SYSTEM, domain, CCGraphConfig())
     iz = np.array(domain.index_of(z))
     z = domain.point_at(int(np.ravel_multi_index(tuple(iz), domain.counts)))
     dist = cached_distance_field(m, z)

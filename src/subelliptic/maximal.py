@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .domain import BoxDomain, GridFunction, MarginError
 from .fields import HormanderSystem
@@ -33,8 +34,10 @@ class BallFamily:
 
     distance[c, p] is the CC distance from center c to grid point p, so the
     ball (c, r) is the boolean slice distance[c] < r.  The family radii are
-    sliced once, when the family is built: members[k] is the 0/1 float
-    matrix (C, num_points) of the radius-radii[k] balls, counts[k] their
+    sliced once, when the family is built, into sparse 0/1 memberships:
+    members[k] is the CSR matrix (C, num_points) of the radius-radii[k]
+    balls, point_balls[k] its transpose as CSR arrays (indptr, ball
+    indices) that list the balls holding each point, counts[k] the balls'
     node counts, and clipped[c, k] flags balls that reach the box boundary.
     """
 
@@ -45,9 +48,10 @@ class BallFamily:
     distance: np.ndarray           # (C, num_points)
     stride: int = 1
 
-    members: np.ndarray = field(init=False, repr=False)   # (K, C, P) 0/1
-    counts: np.ndarray = field(init=False, repr=False)    # (K, C)
-    clipped: np.ndarray = field(init=False, repr=False)   # (C, K) bool
+    members: list = field(init=False, repr=False)       # K CSR (C, P)
+    point_balls: list = field(init=False, repr=False)   # K (indptr, balls)
+    counts: np.ndarray = field(init=False, repr=False)  # (K, C)
+    clipped: np.ndarray = field(init=False, repr=False)  # (C, K) bool
     _border: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -57,11 +61,16 @@ class BallFamily:
         border = np.ones(self.domain.counts, dtype=bool)
         border[tuple(slice(1, -1) for _ in self.domain.counts)] = False
         self._border = border.ravel()
-        self.members = np.empty((len(self.radii),) + self.distance.shape)
-        for k, r in enumerate(self.radii):
-            np.less(self.distance, r, out=self.members[k])
-        self.counts = self.members.sum(axis=2)
-        self.clipped = self.members[:, :, self._border].any(axis=2).T
+        self.members, self.point_balls = [], []
+        for r in self.radii:
+            inside = self.distance < r
+            indptr, points = _csr_arrays(inside)
+            self.members.append(sparse.csr_matrix(
+                (np.ones(len(points)), points, indptr), shape=inside.shape))
+            self.point_balls.append(_csr_arrays(inside.T))
+        self.counts = np.array([np.diff(m.indptr) for m in self.members])
+        self.clipped = np.array([m @ self._border > 0
+                                 for m in self.members]).T
 
     @property
     def num_centers(self) -> int:
@@ -74,8 +83,28 @@ class BallFamily:
         return bool(np.any(mask & self._border))
 
     def coverage(self, k: int) -> float:
-        return float(np.count_nonzero(self.members[k].any(axis=0))) \
+        return float(np.count_nonzero(np.diff(self.point_balls[k][0]))) \
             / self.domain.num_points
+
+
+def _csr_arrays(mask: np.ndarray) -> tuple:
+    """CSR row pointers and column indices of a boolean mask.
+
+    Both are intp, so gathers through them need no index cast.
+    """
+    rows, cols = np.nonzero(mask)
+    indptr = np.zeros(mask.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=mask.shape[0]), out=indptr[1:])
+    return indptr, cols
+
+
+def _row_reduce(ufunc, vals: np.ndarray, indptr: np.ndarray,
+                empty: float) -> np.ndarray:
+    """ufunc.reduce of each CSR row's entries; empty on empty rows."""
+    out = np.full(len(indptr) - 1, empty)
+    full = np.diff(indptr) > 0
+    out[full] = ufunc.reduceat(vals, indptr[:-1][full])
+    return out
 
 
 def build_ball_family(system: HormanderSystem, domain: BoxDomain,
@@ -102,10 +131,10 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
     radii = r0 * 2.0 ** np.arange(num_radii)
     fam = BallFamily(domain=domain, q=float(system.q), centers=centers,
                      radii=radii, distance=dist, stride=stride)
-    covered = fam.members[0].any(axis=0)
-    if not covered.all():
+    gaps = np.count_nonzero(np.diff(fam.point_balls[0][0]) == 0)
+    if gaps:
         raise CoverageGapError(
-            f"{int(np.count_nonzero(~covered))} grid points outside every "
+            f"{gaps} grid points outside every "
             f"radius-{radii[0]:g} ball; decrease stride or increase r0")
     return fam
 
@@ -124,36 +153,37 @@ def refine_family(fam: BallFamily, system: HormanderSystem,
 # ---------------------------------------------------------------------------
 
 def _ball_stats(f: GridFunction, fam: BallFamily, oscillation: bool):
-    """Per family radius: the usable balls and one statistic of f on each.
+    """Per family radius: one statistic of f on every family ball.
 
     A ball is usable when it is unclipped and lies inside f's trusted
-    samples.  Yields (members, stat) per radius: the 0/1 rows of the
-    usable balls and, per ball, the mean of |f| or the mean oscillation of
-    f.  The one statistic behind the maximal functions and the VMO modulus.
+    samples.  Yields (k, stat) per radius: per ball, the mean of |f| or
+    the mean oscillation of f, and -1 on unusable balls (the statistics
+    themselves are nonnegative).  The one statistic behind the maximal
+    functions and the VMO modulus.
     """
     vals = f.values.ravel()
-    trust = f.interior_mask().ravel()
-    for k in range(len(fam.radii)):
+    untrusted = ~f.interior_mask().ravel()
+    for k, (balls, counts) in enumerate(zip(fam.members, fam.counts)):
         ok = ~fam.clipped[:, k]
-        if not trust.all():
-            ok &= ~fam.members[k][:, ~trust].any(axis=1)
-        members, counts = fam.members[k][ok], fam.counts[k][ok]
+        if untrusted.any():
+            ok &= balls @ untrusted == 0
         if oscillation:
-            avg = (members @ vals) / counts
-            stat = (members * np.abs(vals - avg[:, None])).sum(axis=1)
+            avg = (balls @ vals) / counts
+            dev = np.abs(vals[balls.indices] - np.repeat(avg, counts))
+            stat = _row_reduce(np.add, dev, balls.indptr, 0.0)
         else:
-            stat = members @ np.abs(vals)
-        yield members, stat / counts
+            stat = balls @ np.abs(vals)
+        yield k, np.where(ok, stat / counts, -1.0)
 
 
 def _family_sup(f: GridFunction, fam: BallFamily, oscillation: bool):
     out = np.zeros(f.domain.num_points)
     covered = np.zeros(f.domain.num_points, dtype=bool)
-    for members, stat in _ball_stats(f, fam, oscillation):
-        if not len(stat):
-            continue
-        out = np.maximum(out, (members * stat[:, None]).max(axis=0))
-        covered |= members.any(axis=0)
+    for k, stat in _ball_stats(f, fam, oscillation):
+        indptr, holders = fam.point_balls[k]
+        best = _row_reduce(np.maximum, stat.take(holders), indptr, -1.0)
+        np.maximum(out, best, out=out)
+        covered |= best >= 0
     margin = _covering_margin(covered, f.domain)
     return GridFunction(f.domain, out.reshape(f.domain.counts),
                         max(margin, f.margin)), covered
@@ -211,7 +241,7 @@ def vmo_modulus(f: GridFunction, fam: BallFamily,
     """
     vals = f.values.ravel()
     trust = f.interior_mask().ravel()
-    eta = np.maximum.accumulate([stat.max() if len(stat) else 0.0
+    eta = np.maximum.accumulate([max(stat.max(), 0.0)
                                  for _, stat in _ball_stats(f, fam, True)])
     slope = None
     if grad_sup is not None and grad_sup > 0:
@@ -379,17 +409,14 @@ def oscillation_check_vmo(
 
 def sample_balls(fam: BallFamily, r: float, k: float,
                  trust: np.ndarray | None = None, limit: int | None = None):
-    """(center_idx, x0_flat) pairs whose kr-enlargement is usable."""
+    """(center_idx, x0_flat) pairs whose kr-enlargement is usable.
+
+    x0_flat is the first grid point of B_r(center); the first limit usable
+    centers are returned, in center order.
+    """
     if trust is None:
         trust = np.ones(fam.domain.num_points, dtype=bool)
-    out = []
-    for ci in range(fam.num_centers):
-        pair = _ball_pair(fam, trust, ci, r, k)
-        if pair is None:
-            continue
-        mask_r, _ = pair
-        x0 = int(np.flatnonzero(mask_r)[0])
-        out.append((ci, x0))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    bad = ((fam.distance < k * r) & (fam._border | ~trust)).any(axis=1)
+    usable = np.flatnonzero(~bad)[:limit]
+    first = (fam.distance[usable] < r).argmax(axis=1)
+    return [(int(ci), int(x0)) for ci, x0 in zip(usable, first)]

@@ -158,22 +158,40 @@ def _interpolate_per_corner(dom, field_flat, x):
     return float(out)
 
 
-def test_moves_and_interpolation_match_corner_loop(g1, dom41):
-    # the shared corner/weight helper reproduces the former per-corner
-    # loops bitwise; rows of invalid moves are never read (value iteration
-    # masks them), so only their validity flag is compared
+def _lifted_metric():
     from subelliptic.liftgroup import control_system, lift_grushin1
-    lifted = geometry.CCMetric(
-        control_system(lift_grushin1()),
-        BoxDomain((-1.0,) * 3, (1.0,) * 3, (9,) * 3))
-    for m in (get_metric(g1, dom41), lifted):
+    return geometry.CCMetric(control_system(lift_grushin1()),
+                             BoxDomain((-1.0,) * 3, (1.0,) * 3, (9,) * 3))
+
+
+def test_moves_and_interpolation_match_corner_loop(g1, dom41):
+    # each move operator holds the former per-corner tables bitwise: on
+    # valid rows the corners' columns and weights (corner order in the
+    # corner-order layout, even then odd corners in the two-lane one), on
+    # rows of moves that leave the grid no entries and the cost _BIG
+    for m in (get_metric(g1, dom41), _lifted_metric()):
         ref = _moves_per_corner(m)
-        assert len(ref) == len(m._moves)
-        for (cost, idx, wts, valid), (rc, ridx, rwts, rvalid) in zip(
-                m._moves, ref):
-            assert cost == rc and np.array_equal(valid, rvalid)
-            assert np.array_equal(idx[valid], ridx[valid])
-            assert np.array_equal(wts[valid], rwts[valid])
+        ncorner = 2 ** m.domain.dim
+        lanes = np.r_[0:ncorner:2, 1:ncorner:2]
+        assert len(ref) == len(m._moves) == len(m._corner_order_moves())
+        for (cost, op), (ccost, cop), (rc, ridx, rwts, rvalid) in zip(
+                m._moves, m._corner_order_moves(), ref):
+            assert np.array_equal(cost, ccost)
+            assert np.all(cost[rvalid] == rc)
+            assert np.all(cost[~rvalid] == geometry._BIG)
+            assert op.shape == (2 * len(rvalid), len(rvalid))
+            assert np.array_equal(np.diff(op.indptr),
+                                  np.repeat(rvalid * ncorner // 2, 2))
+            assert np.array_equal(op.indices.reshape(-1, ncorner),
+                                  ridx[rvalid][:, lanes])
+            assert np.array_equal(op.data.reshape(-1, ncorner),
+                                  rwts[rvalid][:, lanes])
+            assert cop.shape == (len(rvalid), len(rvalid))
+            assert np.array_equal(np.diff(cop.indptr), rvalid * ncorner)
+            assert np.array_equal(cop.indices.reshape(-1, ncorner),
+                                  ridx[rvalid])
+            assert np.array_equal(cop.data.reshape(-1, ncorner),
+                                  rwts[rvalid])
     m = get_metric(g1, dom41)
     field = cached_distance_field(m, (0.3, -0.2))
     rng = np.random.default_rng(2)
@@ -181,6 +199,42 @@ def test_moves_and_interpolation_match_corner_loop(g1, dom41):
     for x in rng.uniform(-2.3, 2.3, (60, 2)):
         assert m.interpolate(field, x) == \
             _interpolate_per_corner(dom41, field, x)
+
+
+def _einsum_fields(metric, sources):
+    """Value iteration by dense corner gathers and einsum, the former
+    sweep: einsum sums one source's corners in two lanes and a batch's in
+    corner order."""
+    dom = metric.domain
+    moves = _moves_per_corner(metric)
+    d = np.full((len(sources), dom.num_points), geometry._BIG)
+    for s, x in enumerate(sources):
+        d[s, dom.flat_index_of(x)] = 0.0
+    while True:
+        d_new = d
+        for cost, idx, wts, valid in moves:
+            cand = cost + np.einsum("kpc,pc->kp", d[:, idx], wts)
+            d_new = np.minimum(d_new,
+                               np.where(valid[None, :], cand, geometry._BIG))
+        delta = np.max(d - d_new)
+        d = d_new
+        if delta < metric.cfg.tolerance:
+            return d
+
+
+def test_sparse_value_iteration_matches_einsum_sweep(g1, dom41):
+    # bitwise on 2-D for one source and for a batch, each in its own
+    # corner order; within rounding on the lifted 3-D grid
+    m = get_metric(g1, dom41)
+    batch = [(0.0, 0.0), (0.5, 0.5), (-1.0, 1.0), (1.5, -0.5), (-0.3, -1.2)]
+    for sources in ([(0.3, -0.2)], batch):
+        assert np.array_equal(m.distance_fields(sources),
+                              _einsum_fields(m, sources))
+    lifted = _lifted_metric()
+    for sources in ([(0.0, 0.0, 0.0)], [(0.0, 0.0, 0.0), (0.25, -0.5, 0.5)]):
+        np.testing.assert_allclose(lifted.distance_fields(sources),
+                                   _einsum_fields(lifted, sources),
+                                   rtol=1e-14, atol=0)
 
 
 def test_unconverged_value_iteration_raises(g1):

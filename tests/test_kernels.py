@@ -263,3 +263,13 @@ def test_new_matrix_needs_no_symbolic_work(monkeypatch):
     k = TruncatedKernel(0, 1, 0.05, 1.0, np.array([[0.7, -0.1],
                                                    [-0.1, 1.9]]))
     assert np.all(np.isfinite(kernels.apply_T_quadrature(k, f, out)))
+
+
+def test_metric_sample_reuses_one_metric():
+    # every call reads one base system, so get_metric's per-system cache
+    # hands back the same metric (and its distance-field cache)
+    dom = BoxDomain((-1.0, -1.0), (1.0, 1.0), (11, 11))
+    m1, f1 = kernels._metric_sample([(0.0, 0.0)], dom)
+    m2, f2 = kernels._metric_sample([(0.2, 0.0)], dom)
+    assert m1 is m2
+    assert f1.shape == f2.shape == (1, dom.num_points)

@@ -1,5 +1,7 @@
 """Ball families, maximal functions, VMO moduli, oscillation records."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,32 @@ def test_family_statistics_match_direct_slicing(family41, suite41):
              for _, stat in _direct_family_stats(f, family41, True)])
         np.testing.assert_allclose(vmo_modulus(f, family41).eta, eta,
                                    rtol=0, atol=1e-14)
+
+
+def _sample_balls_loop(fam, r, k, trust, limit):
+    """Usable centers and their first B_r node, one center at a time, the
+    former construction."""
+    out = []
+    for ci in range(fam.num_centers):
+        pair = maximal._ball_pair(fam, trust, ci, r, k)
+        if pair is None:
+            continue
+        out.append((ci, int(np.flatnonzero(pair[0])[0])))
+        if limit is not None and len(out) >= limit:
+            break
+    return out
+
+
+def test_sample_balls_match_center_loop(family41, dom41):
+    grid = list(itertools.product(range(4), (0.3, 0.45, 0.6), (2.0, 4.0, 8.0),
+                                  (None, 7)))
+    rng = np.random.default_rng(3)
+    found = 0
+    for i in rng.choice(len(grid), 30, replace=False):
+        margin, r, k, limit = grid[i]
+        trust = GridFunction(dom41, np.zeros(dom41.counts),
+                             margin).interior_mask().ravel()
+        got = sample_balls(family41, r, k, trust, limit)
+        assert got == _sample_balls_loop(family41, r, k, trust, limit)
+        found += len(got)
+    assert found > 0
