@@ -76,11 +76,21 @@ class CutoffProfile:
         return self.radial_quartic(_norm_quartic(np.asarray(u, dtype=float)))
 
     def radial_quartic(self, s) -> np.ndarray:
-        """Profile as a function of ||u||^4."""
+        """Profile as a function of ||u||^4.
+
+        The profile is the product of a rising smoothstep on [s0, s1] and a
+        falling one on [s2, s3].  Outside those two bands each factor is
+        exactly 0 or 1, so the smoothsteps are evaluated only inside them;
+        the result is bitwise that of the full product.
+        """
         s0, s1, s2, s3 = self._edges()
-        rise = smoothstep((s - s0) / (s1 - s0))
-        fall = 1.0 - smoothstep((s - s2) / (s3 - s2))
-        return rise * fall
+        s = np.asarray(s, dtype=float)
+        out = np.where((s > s0) & (s < s3), 1.0, 0.0)
+        rise = (s > s0) & (s < s1)
+        out[rise] = smoothstep((s[rise] - s0) / (s1 - s0))
+        fall = (s > s2) & (s < s3)
+        out[fall] *= 1.0 - smoothstep((s[fall] - s2) / (s3 - s2))
+        return out[()]
 
 
 class TruncatedKernel:
@@ -135,33 +145,6 @@ def kernel_signed_and_abs_integral(kernel: TruncatedKernel, x,
     ys, wts = graded_nodes_aniso(x, half, 48, levels, (4.0, 16.0))
     vals = kernel(x, ys)
     return (float(np.sum(wts * vals)), float(np.sum(wts * np.abs(vals))))
-
-
-def log_growth_fit(i: int, j: int, x, R: float, A=None,
-                   eps_ladder=None) -> tuple:
-    """Fit int |K_{eps,R}| dy against log(1/eps).
-
-    Returns (slope, r_squared, signed_over_abs) where signed_over_abs is the
-    largest |signed integral| / |abs integral| across the ladder (the
-    boundedness half of the cancellation statement).
-    """
-    if eps_ladder is None:
-        eps_ladder = [R / 2 ** k for k in range(1, 6)]
-    logs, absvals, ratio = [], [], 0.0
-    for eps in eps_ladder:
-        k = TruncatedKernel(i, j, eps, R, A)
-        s, a = kernel_signed_and_abs_integral(k, x)
-        logs.append(math.log(1.0 / eps))
-        absvals.append(a)
-        ratio = max(ratio, abs(s) / a)
-    t = np.array(logs)
-    v = np.array(absvals)
-    A_ = np.stack([t, np.ones_like(t)], axis=1)
-    coef, res, *_ = np.linalg.lstsq(A_, v, rcond=None)
-    ss_tot = float(np.sum((v - v.mean()) ** 2))
-    ss_res = float(np.sum((v - A_ @ coef) ** 2))
-    r2 = 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(r2), float(ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +304,28 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     from ``_graded_kernel`` (evaluated once on the base level and reused on
     every level by homogeneity); per level only the lifted points and Lu
     there change.  L_A u is compiled with symbolic coefficients, so the
-    symbolic work depends on u alone and A enters numerically.
+    symbolic work depends on u alone and A enters numerically.  Both
+    integrands are compiled with common-subexpression elimination.
+
+    Raises ValueError when X_i X_j u vanishes at every point of xs, where
+    the relative residual is undefined.
     """
+    target_fn = sp.lambdify(
+        _B_SYMS, word_apply_sympy(_BASE_SYSTEM, (i, j), u_expr, _B_SYMS),
+        "numpy", cse=True)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    targets = np.array([float(target_fn(*x)) for x in xs])
+    scale = np.max(np.abs(targets))
+    if scale == 0.0:
+        raise ValueError(f"X_{i} X_{j} u vanishes at every requested point; "
+                         "the relative residual is undefined")
     Amat = np.eye(2) if A is None else np.asarray(A, dtype=float)
     a_syms = sp.symbols("a1:5", real=True)
     F_fn = sp.lambdify(_B_SYMS + a_syms, base_operator_expr(
-        sp.Matrix(2, 2, a_syms), u_expr), "numpy")
-    target_fn = sp.lambdify(
-        _B_SYMS, word_apply_sympy(_BASE_SYSTEM, (i, j), u_expr, _B_SYMS),
-        "numpy")
+        sp.Matrix(2, 2, a_syms), u_expr), "numpy", cse=True)
     a_vals = tuple(float(a) for a in Amat.ravel())
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     Tv = np.zeros(len(xs))
     for vs, kw in _graded_kernel(kernel, levels, cells):
         for n, (x1, x2) in enumerate(xs):
@@ -342,8 +334,6 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
             y2 = x2 - vs[:, 1] + vs[:, 0] * vs[:, 2] - x1 * vs[:, 2]
             Tv[n] += np.sum(kw * F_fn(y1, y2, *a_vals))
     preds = Tv + cij * np.array([float(F_fn(*x, *a_vals)) for x in xs])
-    targets = np.array([float(target_fn(*x)) for x in xs])
-    scale = np.max(np.abs(targets))
     return float(np.max(np.abs(preds - targets)) / scale)
 
 
@@ -686,11 +676,15 @@ def _graded_kernel(kernel: TruncatedKernel, levels: int, cells: int):
     """
     Lam = kernel.profile.support_radius
     half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
-    v0, w0, per_level = _graded_levels(half, (cells, 2 * cells, cells),
-                                       levels, (4.0, 16.0, 4.0))
+    shape = (cells, 2 * cells, cells)
+    v0, w0, per_level = _graded_levels(half, shape, levels, (4.0, 16.0, 4.0))
     kw0 = kernel._c0 * w0 * np.asarray(
         kernel._fn(v0[:, 0], v0[:, 1], v0[:, 2]), dtype=float)
-    s0 = _norm_quartic(v0)
+    # ||v||^4 of the product grid, summed from its 1-D axes in the order
+    # of _norm_quartic
+    g = v0.reshape(shape + (3,))
+    s0 = (g[:, :1, :1, 0] ** 4 + g[:1, :, :1, 1] ** 2
+          + g[:1, :1, :, 2] ** 4).ravel()
     for scale, keep in per_level:
         kw = kw0 * kernel.profile.radial_quartic(s0 * float(np.prod(scale)))
         keep = keep & (kw != 0.0)

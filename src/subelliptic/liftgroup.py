@@ -400,22 +400,29 @@ def _gamma_unit_expr(x1, x2, x3) -> sp.Expr:
 _IDENTITY_WORDS: dict = {}
 
 
-def _identity_word_fn(word: tuple):
-    """Y-word of the unnormalized Gamma_I as a numpy function of (x1, t, x3).
+def _identity_words_fn(length: int):
+    """All Y-words of one length of the unnormalized Gamma_I, jointly.
 
-    t = x2 - x1 x3 / 2 is the central coordinate in which Gamma_I and every
-    Y-derivative of it are written, so no cancellation happens at run time.
-    Compiled once per word and process; there are 2^len(word) words.
+    Returns one numpy function of (x1, t, x3) that gives the 2^length
+    words in ``itertools.product`` order.  t = x2 - x1 x3 / 2 is the
+    central coordinate in which Gamma_I and every Y-derivative of it are
+    written, so no cancellation happens at run time.  The words are
+    rational functions of x1, x3, t and the quartic
+    rho4 = (x1^2 + x3^2)^2 + 16 t^2, so they are compiled together with
+    common-subexpression elimination and the shared powers of rho4 are
+    computed once per call.  Compiled once per length and process.
     """
-    fn = _IDENTITY_WORDS.get(word)
+    fn = _IDENTITY_WORDS.get(length)
     if fn is None:
         x1, x2, x3 = _H_SYMS
         t = sp.Symbol("t", real=True)
-        expr = word_apply_sympy(lift_grushin1(), word,
-                                _gamma_unit_expr(*_H_SYMS), _H_SYMS)
-        expr = expr.subs(x2, t + x1 * x3 / 2)
-        fn = sp.lambdify((x1, t, x3), expr, modules="numpy")
-        _IDENTITY_WORDS[word] = fn
+        lift = lift_grushin1()
+        gamma = _gamma_unit_expr(*_H_SYMS)
+        exprs = [word_apply_sympy(lift, word, gamma, _H_SYMS)
+                 .subs(x2, t + x1 * x3 / 2)
+                 for word in itertools.product(range(2), repeat=length)]
+        fn = sp.lambdify((x1, t, x3), exprs, modules="numpy", cse=True)
+        _IDENTITY_WORDS[length] = fn
     return fn
 
 
@@ -463,15 +470,14 @@ class HeisenbergGamma:
     def word_fn(self, word):
         """Y-word derivative of Gamma_A (unnormalized) as a numpy function."""
         word = tuple(word)
-        terms = []
-        for ks in itertools.product(range(2), repeat=len(word)):
-            coef = math.prod(float(self.Si[k, w]) for k, w in zip(ks, word))
-            if coef != 0.0:
-                terms.append((coef / self.detS ** 2, _identity_word_fn(ks)))
+        words = _identity_words_fn(len(word))
+        coefs = [math.prod(float(self.Si[k, w]) for k, w in zip(ks, word))
+                 / self.detS ** 2
+                 for ks in itertools.product(range(2), repeat=len(word))]
 
         def fn(x1, x2, x3):
-            z = self._psi(x1, x2, x3)
-            return sum(c * g(*z) for c, g in terms)
+            vals = words(*self._psi(x1, x2, x3))
+            return sum(c * g for c, g in zip(coefs, vals) if c != 0.0)
 
         return fn
 
@@ -608,7 +614,8 @@ def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
     fixed singular kernel; the quadrature is graded around z = 0.
     """
     Lu = sp.lambdify(_H_SYMS, _operator_expr(gamma.lift, gamma.A, bump_expr,
-                                             _H_SYMS), modules="numpy")
+                                             _H_SYMS), modules="numpy",
+                     cse=True)
     u_fn = sp.lambdify(_H_SYMS, bump_expr, modules="numpy")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     integrals = _convolution_integrals(
@@ -635,7 +642,8 @@ def normalization_constant() -> float:
     gamma = HeisenbergGamma()
     bump = _gaussian_bump((1.0, 1.5, 1.0))
     Lu = sp.lambdify(_H_SYMS, _operator_expr(gamma.lift, np.eye(2), bump,
-                                             _H_SYMS), modules="numpy")
+                                             _H_SYMS), modules="numpy",
+                     cse=True)
     u_fn = sp.lambdify(_H_SYMS, bump, modules="numpy")
     xs = np.array([[0.0, 0.0, 0.0], [0.4, 0.1, -0.2], [-0.3, 0.25, 0.35],
                    [0.15, -0.3, 0.1]])
@@ -769,7 +777,8 @@ def base_reproduction_residual(A, bump_expr: sp.Expr, xs,
     """Max relative error of u(x) = int Gamma_A(x; y) (L_A u)(y) dy on R^2."""
     Amat = np.eye(2) if A is None else np.asarray(A, dtype=float)
     G = GrushinGamma(A)
-    Lu = sp.lambdify(_B_SYMS, base_operator_expr(Amat, bump_expr), "numpy")
+    Lu = sp.lambdify(_B_SYMS, base_operator_expr(Amat, bump_expr), "numpy",
+                     cse=True)
     u_fn = sp.lambdify(_B_SYMS, bump_expr, "numpy")
     worst = 0.0
     for x in np.atleast_2d(np.asarray(xs, dtype=float)):

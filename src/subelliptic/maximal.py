@@ -139,15 +139,6 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
     return fam
 
 
-def refine_family(fam: BallFamily, system: HormanderSystem,
-                  cfg: CCGraphConfig = CCGraphConfig()) -> BallFamily:
-    """Same radii, half the stride: a strict superset of balls."""
-    new_stride = max(1, fam.stride // 2)
-    return build_ball_family(system, fam.domain, float(fam.radii[0]),
-                             num_radii=len(fam.radii), stride=new_stride,
-                             cfg=cfg)
-
-
 # ---------------------------------------------------------------------------
 # maximal functions
 # ---------------------------------------------------------------------------
@@ -249,11 +240,6 @@ def vmo_modulus(f: GridFunction, fam: BallFamily,
     return VMOReport(radii=fam.radii.copy(), eta=eta,
                      sup_norm=float(np.max(np.abs(vals[trust]))),
                      fitted_slope=slope)
-
-
-def coefficient_sharp(reports, R: float) -> float:
-    """Worst VMO modulus at scale R across a family of coefficient entries."""
-    return max(rep.eta_at(R) for rep in reports)
 
 
 # ---------------------------------------------------------------------------

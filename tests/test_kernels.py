@@ -29,6 +29,34 @@ def test_cutoff_profile_plateau(gamma2):
         CutoffProfile(1.0, 0.5, gamma2)
 
 
+def _radial_quartic_full(profile, s):
+    """Both smoothsteps over every s: the profile's defining formula."""
+    s0, s1, s2, s3 = profile._edges()
+    rise = kernels.smoothstep((s - s0) / (s1 - s0))
+    fall = 1.0 - kernels.smoothstep((s - s2) / (s3 - s2))
+    return rise * fall
+
+
+@pytest.mark.parametrize("eps, R", [(0.1, 20.0), (0.02, 0.5), (0.9, 1.0)])
+def test_radial_quartic_bands_match_full_formula(gamma2, eps, R):
+    # the smoothsteps run only inside their bands; outside, the profile
+    # must still be bitwise the full product, at and one ulp around each
+    # edge included
+    prof = CutoffProfile(eps, R, gamma2)
+    edges = np.array(prof._edges())
+    s = np.concatenate([
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        [0.0, np.inf],
+        np.random.default_rng(12).uniform(0.0, 1.2 * edges[3], 20000),
+        edges[0] * np.exp(np.random.default_rng(13).uniform(-3, 0, 2000))])
+    got = prof.radial_quartic(s)
+    ref = _radial_quartic_full(prof, s)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for x in s[:12]:
+        assert np.float64(prof.radial_quartic(x)).view(np.int64) == \
+            np.float64(_radial_quartic_full(prof, x)).view(np.int64)
+
+
 def test_truncated_kernel_finite_and_truncated(gamma2):
     k = TruncatedKernel(0, 0, 0.1, 1.0)
     x = np.array([0.3, 0.2])
@@ -245,6 +273,17 @@ def test_representation_levels_by_homogeneity(lift1):
     targets = np.array(targets)
     ref = np.max(np.abs(np.array(preds) - targets)) / np.max(np.abs(targets))
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+def test_representation_rejects_vanishing_target():
+    # X_0 X_1 u = d2 u + y1 d1 d2 u vanishes on y2 = 0 for a u even in
+    # y2, so no relative residual exists there
+    y1, y2 = kernels._B_SYMS
+    u = sp.exp(-(y1 ** 2 + 2 * y2 ** 2))
+    with pytest.raises(ValueError, match="vanishes"):
+        kernels.representation_residual(0, 1, None, u,
+                                        [[0.2, 0.0], [-0.3, 0.0]], eps=0.2,
+                                        R=10.0, levels=3, cells=16)
 
 
 def test_new_matrix_needs_no_symbolic_work(monkeypatch):
