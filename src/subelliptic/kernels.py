@@ -22,7 +22,7 @@ import sympy as sp
 
 from .fields import grushin, word_apply_sympy
 from .liftgroup import (GrushinGamma, HeisenbergGamma, _B_SYMS, _H_SYMS,
-                        _fiber_arg, _fiber_scale, _fiber_terms,
+                        _block_sum, _fiber_arg, _fiber_scale, _fiber_terms,
                         _graded_levels, _smoothstep_expr, base_operator_expr,
                         calibrate_equivalence, graded_nodes_aniso,
                         normalization_constant)
@@ -300,10 +300,11 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     The operator integral is evaluated in lifted coordinates: substituting
     (y, eta) = (x, 0) * v^{-1} turns T(Lu)(x) into an integral of the fixed
     singular kernel (Y_i Y_j Gamma . psi)(v) against Lu(pi((x,0) v^{-1})),
-    so the anisotropic grading can be centered once at v = 0.  K.w comes
-    from ``_graded_kernel`` (evaluated once on the base level and reused on
-    every level by homogeneity); per level only the lifted points and Lu
-    there change.  L_A u is compiled with symbolic coefficients, so the
+    so the anisotropic grading can be centered once at v = 0.  The
+    cubature runs in fixed blocks of its base grid (``_block_sum``): a block
+    evaluates K.w once (``_kernel_levels``, reused on every level by
+    homogeneity), and per level only the lifted points and Lu there
+    change.  L_A u is compiled with symbolic coefficients, so the
     symbolic work depends on u alone and A enters numerically.  Both
     integrands are compiled with common-subexpression elimination.
 
@@ -326,13 +327,19 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     a_vals = tuple(float(a) for a in Amat.ravel())
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
-    Tv = np.zeros(len(xs))
-    for vs, kw in _graded_kernel(kernel, levels, cells):
-        for n, (x1, x2) in enumerate(xs):
-            # (x1, x2, 0) * v^{-1} from the group law
-            y1 = x1 - vs[:, 0]
-            y2 = x2 - vs[:, 1] + vs[:, 0] * vs[:, 2] - x1 * vs[:, 2]
-            Tv[n] += np.sum(kw * F_fn(y1, y2, *a_vals))
+    grid = _graded_kernel(kernel, levels, cells)
+
+    def block(sl):
+        part = np.zeros(len(xs))
+        for v1, v2, v3, kw in _kernel_levels(kernel, grid, sl):
+            v13 = v1 * v3
+            for n, (x1, x2) in enumerate(xs):
+                # (x1, x2, 0) * v^{-1} from the group law
+                part[n] += np.sum(kw * F_fn(x1 - v1, x2 - v2 + v13 - x1 * v3,
+                                            *a_vals))
+        return part
+
+    Tv = _block_sum(block, len(grid[0]))
     preds = Tv + cij * np.array([float(F_fn(*x, *a_vals)) for x in xs])
     return float(np.max(np.abs(preds - targets)) / scale)
 
@@ -662,33 +669,45 @@ def apply_T_grid(kernel: TruncatedKernel, f) -> "object":
     return GridFunction(dom, vals.reshape(dom.counts), f.margin)
 
 
-def _graded_kernel(kernel: TruncatedKernel, levels: int, cells: int):
-    """Nodes v and K(v) w of the lifted T-cubature, level by level.
+def _graded_kernel(kernel: TruncatedKernel, levels: int, cells: int) -> tuple:
+    """Base grid of the lifted T-cubature: (v0, w0, per_level, s0).
 
     The node sets are those of ``graded_nodes_aniso`` with half-widths
     1.05 (Lam, max(Lam, Lam^2), Lam), cells (cells, 2 cells, cells) and
-    shrinks (4, 16, 4).  Level l is the exact dilate delta_{4^-l} of the
-    base grid, Y_i Y_j Gamma has degree -4 and the cell volume scales by
-    4^-4, so c0 (Y_i Y_j Gamma)(v) w is the same at corresponding nodes of
-    every level and is evaluated once on the base grid; per level only the
-    hole mask and the cutoff psi(||v||^4 4^-4l) change.  Nodes where the
-    cutoff vanishes are left out, since they add nothing to any sum.
+    shrinks (4, 16, 4); s0 is ||v||^4 on the base grid, summed from its
+    1-D axes in the order of ``_norm_quartic``.  ``_kernel_levels`` takes
+    the nodes and their K(v) w from it.
     """
     Lam = kernel.profile.support_radius
     half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
     shape = (cells, 2 * cells, cells)
     v0, w0, per_level = _graded_levels(half, shape, levels, (4.0, 16.0, 4.0))
-    kw0 = kernel._c0 * w0 * np.asarray(
-        kernel._fn(v0[:, 0], v0[:, 1], v0[:, 2]), dtype=float)
-    # ||v||^4 of the product grid, summed from its 1-D axes in the order
-    # of _norm_quartic
     g = v0.reshape(shape + (3,))
     s0 = (g[:, :1, :1, 0] ** 4 + g[:1, :, :1, 1] ** 2
           + g[:1, :1, :, 2] ** 4).ravel()
+    return v0, w0, per_level, s0
+
+
+def _kernel_levels(kernel: TruncatedKernel, grid: tuple, block=slice(None)):
+    """(v1, v2, v3, K(v) w) of the graded nodes over the base nodes in
+    `block`, level by level.
+
+    Level l is the exact dilate delta_{4^-l} of the base grid, Y_i Y_j Gamma
+    has degree -4 and the cell volume scales by 4^-4, so
+    c0 (Y_i Y_j Gamma)(v) w is the same at corresponding nodes of every
+    level and is evaluated once on the block; per level only the hole mask
+    and the cutoff psi(||v||^4 4^-4l) change.  Nodes where the cutoff
+    vanishes are left out, since they add nothing to any sum.  The three
+    coordinates are gathered as separate contiguous columns.
+    """
+    v0, w0, per_level, s0 = grid
+    cols = [np.ascontiguousarray(v0[block, k]) for k in range(3)]
+    kw0 = kernel._c0 * w0 * np.asarray(kernel._fn(*cols), dtype=float)
+    s0 = s0[block]
     for scale, keep in per_level:
         kw = kw0 * kernel.profile.radial_quartic(s0 * float(np.prod(scale)))
-        keep = keep & (kw != 0.0)
-        yield v0[keep] * scale, kw[keep]
+        keep = keep[block] & (kw != 0.0)
+        yield (*(c[keep] * s for c, s in zip(cols, scale)), kw[keep])
 
 
 def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
@@ -711,8 +730,8 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
     [0, c1 - 2], so a point outside the box reads zero.  Scattered points
     form groups of one.
     """
-    vs, kw = (np.concatenate(a) for a in
-              zip(*_graded_kernel(kernel, levels, cells)))
+    v1, v2, v3, kw = (np.concatenate(a) for a in zip(*_kernel_levels(
+        kernel, _graded_kernel(kernel, levels, cells))))
     dom = f.domain
     h = dom.spacing
     c0, c1 = dom.counts
@@ -724,8 +743,8 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
     f_hi = np.zeros((c0, c1 + 1))
     f_lo[:, :c1 - 1] = f.values[:, :c1 - 1]
     f_hi[:, :c1 - 1] = f.values[:, 1:]
-    b_add = (-vs[:, 1] + vs[:, 0] * vs[:, 2]) / h[1]
-    c_mul = -vs[:, 2] / h[1]
+    b_add = (-v2 + v1 * v3) / h[1]
+    c_mul = -v3 / h[1]
     # x2 = lower + (m + phi) h2; a grid-aligned x2 differs from its grid
     # line by rounding only, so it gets phi near 0 (never near 1), and the
     # group key rounds phi well above that and below any scattered spacing
@@ -740,7 +759,7 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
     for members in groups:
         lead = members[0]
         x1 = pts[lead, 0]
-        r1 = (x1 - vs[:, 0] - dom.lower[0]) / h[0]
+        r1 = (x1 - v1 - dom.lower[0]) / h[0]
         ok = (r1 >= 0) & (r1 <= c0 - 1)
         if not ok.any():
             continue

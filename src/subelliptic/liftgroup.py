@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -558,6 +561,53 @@ def _graded_levels(half_widths, cells_per_axis, levels: int,
     return v0.reshape(-1, dim), float(np.prod(step)), per_level
 
 
+# Base-grid nodes per block of a streamed cubature.  An integrand's
+# temporaries then hold 256 KB each, so a block's working set stays inside
+# a 2 MB L2 cache; whole levels (0.26-2 M nodes) do not.
+_BLOCK = 1 << 15
+
+# one worker per usable core
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+_POOL_THREAD = threading.local()
+
+
+def _enter_pool():
+    _POOL_THREAD.active = True
+
+
+def _ordered_map(fn, items) -> list:
+    """[fn(item) for item in items], on up to ``_WORKERS`` threads.
+
+    Results come back in item order, and an exception raised by fn reaches
+    the caller as raised.  A map called from inside a worker runs inline,
+    so nested maps cannot deadlock waiting for the threads they occupy.
+    The work is numpy on arrays of a block's size, which releases the
+    interpreter lock.
+    """
+    items = list(items)
+    workers = min(_WORKERS, len(items))
+    if workers < 2 or getattr(_POOL_THREAD, "active", False):
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(workers, initializer=_enter_pool)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _block_sum(block_fn, n: int):
+    """Sum of block_fn(sl) over the ``_BLOCK``-node slices sl of range(n).
+
+    The blocks are fixed and their partial sums are added in block order,
+    so the result does not depend on the number of workers.
+    """
+    parts = _ordered_map(block_fn, [slice(a, a + _BLOCK)
+                                    for a in range(0, n, _BLOCK)])
+    return sum(parts[1:], parts[0])
+
+
 def graded_nodes_aniso(center, half_widths, cells_per_axis,
                        levels: int, shrinks) -> tuple:
     """Midpoint cubature with nested anisotropic refinement around `center`.
@@ -573,41 +623,36 @@ def graded_nodes_aniso(center, half_widths, cells_per_axis,
             np.concatenate(weights))
 
 
-def _convolution_integrals(gamma_fn, Lu, xs, nodes=None,
-                           weights=None) -> np.ndarray:
+def _convolution_integrals(gamma_fn, Lu, xs) -> np.ndarray:
     """int Gamma(z) (L u)(x z^{-1}) dz at each x, graded around z = 0.
 
-    gamma_fn maps nodes (n, 3) to kernel values.  Without explicit nodes
-    the shared calibration cubature (half-width 8, 128 cells per axis,
-    three levels of shrink 4; the innermost central cell is dropped, its
-    contribution is O(cell^2) for a kernel of degree -2) is streamed in
-    slabs of 16 x1-planes per level, so no level is held whole.
-    x z^{-1} is written out from the group law.
+    gamma_fn maps the node coordinates z1, z2, z3 to kernel values.  The
+    calibration cubature (half-width 8, 128 cells per axis, three levels
+    of shrink 4; the innermost central cell is dropped, its contribution is
+    O(cell^2) for a kernel of degree -2) is streamed in blocks of the base
+    grid (``_block_sum``): a block takes its nodes of every level in turn,
+    so no level is held whole.  x z^{-1} is written out from the group law.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if nodes is None:
-        v0, w0, per_level = _graded_levels((8.0,) * 3, 128, 3, (4.0,) * 3)
-        slab = 16 * 128 ** 2
-        chunks = ((v0[a:a + slab][keep[a:a + slab]] * scale,
-                   w0 * float(np.prod(scale)))
-                  for scale, keep in per_level
-                  for a in range(0, len(v0), slab))
-    else:
-        chunks = [(np.asarray(nodes, dtype=float), weights)]
-    out = np.zeros(len(xs))
-    for z, w in chunks:
-        wG = w * gamma_fn(z)
-        for n, x in enumerate(xs):
-            y1 = x[0] - z[:, 0]
-            y2 = x[1] - z[:, 1] + z[:, 0] * z[:, 2] - x[0] * z[:, 2]
-            y3 = x[2] - z[:, 2]
-            out[n] += np.sum(wG * Lu(y1, y2, y3))
-    return out
+    v0, w0, per_level = _graded_levels((8.0,) * 3, 128, 3, (4.0,) * 3)
+
+    def block(sl):
+        cols = [np.ascontiguousarray(v0[sl, k]) for k in range(3)]
+        part = np.zeros(len(xs))
+        for scale, keep in per_level:
+            z1, z2, z3 = (c[keep[sl]] * s for c, s in zip(cols, scale))
+            wG = w0 * float(np.prod(scale)) * gamma_fn(z1, z2, z3)
+            z13 = z1 * z3
+            for n, x in enumerate(xs):
+                part[n] += np.sum(wG * Lu(x[0] - z1, x[1] - z2 + z13
+                                          - x[0] * z3, x[2] - z3))
+        return part
+
+    return _block_sum(block, len(v0))
 
 
 def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
-                          xs: np.ndarray, nodes=None, weights=None,
-                          normalized: bool = True) -> float:
+                          xs: np.ndarray, normalized: bool = True) -> float:
     """Max relative error of u(x) = int Gamma(y^{-1} x) (L_A u)(y) dy.
 
     Substituting z = y^{-1} * x turns this into a convolution against a
@@ -618,9 +663,10 @@ def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
                      cse=True)
     u_fn = sp.lambdify(_H_SYMS, bump_expr, modules="numpy")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    integrals = _convolution_integrals(
-        lambda z: gamma.value(z, normalized=normalized), Lu, xs, nodes,
-        weights)
+    # compiled and calibrated here, before the cubature's workers start
+    fn = gamma.word_fn(())
+    c0 = normalization_constant() if normalized else 1.0
+    integrals = _convolution_integrals(lambda *z: fn(*z) * c0, Lu, xs)
     targets = np.array([float(u_fn(*x)) for x in xs])
     return float(np.max(np.abs(integrals - targets) / np.abs(targets)))
 
@@ -634,7 +680,7 @@ def normalization_constant() -> float:
     Fixed by matching the reproduction identity for one Gaussian profile at
     several evaluation points; a structurally different profile validates
     the value (`test` suite enforces the tolerance).  Calibrated lazily and
-    cached for the process lifetime; the cubature is streamed in slabs
+    cached for the process lifetime; the cubature is streamed in blocks
     (``_convolution_integrals``).
     """
     if _C0:
@@ -647,8 +693,7 @@ def normalization_constant() -> float:
     u_fn = sp.lambdify(_H_SYMS, bump, modules="numpy")
     xs = np.array([[0.0, 0.0, 0.0], [0.4, 0.1, -0.2], [-0.3, 0.25, 0.35],
                    [0.15, -0.3, 0.1]])
-    integrals = _convolution_integrals(
-        lambda z: gamma.value(z, normalized=False), Lu, xs)
+    integrals = _convolution_integrals(gamma.word_fn(()), Lu, xs)
     ratios = np.array([float(u_fn(*x)) for x in xs]) / integrals
     c0 = float(np.mean(ratios))
     spread = float(np.max(np.abs(ratios / c0 - 1.0)))

@@ -275,6 +275,42 @@ def test_representation_levels_by_homogeneity(lift1):
     assert got == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("cells", [16, 40])
+def test_representation_blocks_independent_of_workers(monkeypatch, cells):
+    # cells=16 is one block of the base grid, cells=40 spans four (the last
+    # one partial); blocks are summed in a fixed order, so the residual is
+    # bitwise the same on one worker and on several
+    from subelliptic import liftgroup
+    y1, y2 = kernels._B_SYMS
+    u = sp.exp(-(y1 ** 2 + 2 * y2 ** 2)) * sp.cos(y1)
+    A = np.array([[1.2, -0.3], [-0.3, 0.9]])
+    xs = np.array([(0.3, 0.2), (-0.4, 0.1)])
+    i, j, eps, R, levels = 0, 1, 0.2, 10.0, 3
+    args = (i, j, A, u, xs)
+    kw = dict(eps=eps, R=R, levels=levels, cells=cells)
+    monkeypatch.setattr(liftgroup, "_WORKERS", max(liftgroup._WORKERS, 2))
+    many = kernels.representation_residual(*args, **kw)
+    monkeypatch.setattr(liftgroup, "_WORKERS", 1)
+    one = kernels.representation_residual(*args, **kw)
+    assert one == many
+    # oracle: every graded node evaluated directly and summed in one shot
+    a_syms = sp.symbols("a1:5", real=True)
+    F_fn = sp.lambdify(kernels._B_SYMS + a_syms, kernels.base_operator_expr(
+        sp.Matrix(2, 2, a_syms), u), "numpy", cse=True)
+    target_fn = sp.lambdify(kernels._B_SYMS, kernels.word_apply_sympy(
+        kernels._BASE_SYSTEM, (i, j), u, kernels._B_SYMS), "numpy")
+    k = TruncatedKernel(i, j, eps, R, A)
+    vs, Kw = _lifted_nodes(k, levels, cells)
+    cij = flux_constant(i, j, A)
+    preds = np.array([
+        np.sum(Kw * F_fn(x1 - vs[:, 0], x2 - vs[:, 1] + vs[:, 0] * vs[:, 2]
+                         - x1 * vs[:, 2], *A.ravel()))
+        + cij * F_fn(x1, x2, *A.ravel()) for x1, x2 in xs])
+    targets = np.array([target_fn(*x) for x in xs])
+    ref = np.max(np.abs(preds - targets)) / np.max(np.abs(targets))
+    assert many == pytest.approx(ref, rel=1e-12)
+
+
 def test_representation_rejects_vanishing_target():
     # X_0 X_1 u = d2 u + y1 d1 d2 u vanishes on y2 = 0 for a u even in
     # y2, so no relative residual exists there

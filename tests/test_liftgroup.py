@@ -1,5 +1,8 @@
 """Group lifts, calibration constants, fundamental solutions, cutoffs."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -120,10 +123,108 @@ def test_reproduction_identity_and_sweep():
 
 
 def test_normalization_constant_pinned():
-    # the streamed graded cubature sums in the same order as its former
-    # slab builder, so the calibrated constant keeps its value
+    # the streamed cubature adds the partial sums of fixed base-grid blocks
+    # in block order, not in the level-by-level slab order that recorded
+    # this value; the two orders agree to rounding
     assert normalization_constant() == pytest.approx(-0.15947993314451175,
                                                      rel=1e-12)
+
+
+def _within(seconds, fn):
+    """fn() on a daemon thread; fails unless it returns within `seconds`."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            box["error"] = exc
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"did not return within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def test_ordered_map_keeps_item_order(monkeypatch):
+    monkeypatch.setattr(liftgroup, "_WORKERS", 2)
+
+    def square_late(k):
+        # earlier items finish last
+        time.sleep(0.005 * (8 - k))
+        return k * k
+
+    got = _within(30, lambda: liftgroup._ordered_map(square_late, range(8)))
+    assert got == [k * k for k in range(8)]
+
+
+def test_ordered_map_raises_worker_exception(monkeypatch):
+    monkeypatch.setattr(liftgroup, "_WORKERS", 2)
+
+    class Boom(ValueError):
+        pass
+
+    def fail_at_three(k):
+        if k == 3:
+            raise Boom(k)
+        return k
+
+    with pytest.raises(Boom):
+        _within(30, lambda: liftgroup._ordered_map(fail_at_three, range(6)))
+
+
+def test_ordered_map_nested_runs_inline(monkeypatch):
+    monkeypatch.setattr(liftgroup, "_WORKERS", 2)
+
+    def outer(k):
+        me = threading.get_ident()
+        inner = liftgroup._ordered_map(
+            lambda m: (threading.get_ident(), k * m), range(4))
+        return me, inner
+
+    got = _within(30, lambda: liftgroup._ordered_map(outer, range(4)))
+    for k, (me, inner) in enumerate(got):
+        assert me != threading.get_ident()
+        assert inner == [(me, k * m) for m in range(4)]
+
+
+def _convolution_one_shot(gamma_fn, Lu, xs):
+    """The calibration cubature of _convolution_integrals, each level
+    summed whole."""
+    v0, w0, per_level = liftgroup._graded_levels((8.0,) * 3, 128, 3,
+                                                 (4.0,) * 3)
+    out = np.zeros(len(xs))
+    for scale, keep in per_level:
+        z = v0[keep] * scale
+        wG = w0 * float(np.prod(scale)) * gamma_fn(z[:, 0], z[:, 1], z[:, 2])
+        for n, x in enumerate(xs):
+            out[n] += np.sum(wG * Lu(x[0] - z[:, 0],
+                                     x[1] - z[:, 1] + z[:, 0] * z[:, 2]
+                                     - x[0] * z[:, 2], x[2] - z[:, 2]))
+    return out
+
+
+def test_convolution_blocks_independent_of_workers(monkeypatch):
+    # the blocks and the order of their partial sums are fixed, so the
+    # result is bitwise the same on one worker and on several
+    gamma_fn = HeisenbergGamma().word_fn(())
+
+    def Lu(y1, y2, y3):
+        # any smooth decaying integrand will do; this one keeps the one-shot
+        # oracle's whole-level temporaries small
+        return np.exp(-(y1 * y1 + 0.5 * y2 * y2 + y3 * y3))
+
+    xs = np.array([[0.4, 0.1, -0.2]])
+    monkeypatch.setattr(liftgroup, "_WORKERS", max(liftgroup._WORKERS, 2))
+    many = liftgroup._convolution_integrals(gamma_fn, Lu, xs)
+    monkeypatch.setattr(liftgroup, "_WORKERS", 1)
+    one = liftgroup._convolution_integrals(gamma_fn, Lu, xs)
+    assert np.array_equal(one, many)
+    ref = _convolution_one_shot(gamma_fn, Lu, xs)
+    assert np.max(np.abs(many - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_fiber_constants(fib1):
