@@ -108,11 +108,6 @@ class BoxDomain:
         return BoxDomain(self.lower, self.upper,
                          tuple((c - 1) * factor + 1 for c in self.counts))
 
-    def boundary_distance_cells(self, x) -> int:
-        """Cells between x and the nearest box face."""
-        idx = np.array(self.index_of(x))
-        return int(min(idx.min(), (np.array(self.counts) - 1 - idx).min()))
-
 
 @dataclass
 class GridFunction:
@@ -131,12 +126,6 @@ class GridFunction:
         if self.values.shape != tuple(self.domain.counts):
             raise ValueError(
                 f"values shape {self.values.shape} != grid {self.domain.counts}")
-
-    @classmethod
-    def from_callable(cls, domain: BoxDomain, f, margin: int = 0) -> "GridFunction":
-        pts = domain.points()
-        vals = np.asarray(f(pts), dtype=float).reshape(domain.counts)
-        return cls(domain, vals, margin)
 
     def interior_slice(self, extra: int = 0):
         m = self.margin + extra

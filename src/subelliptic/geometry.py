@@ -214,9 +214,6 @@ class CCMetric:
     def distance_field(self, source) -> np.ndarray:
         return self.distance_fields([source])[0]
 
-    def distance_grid(self, source) -> np.ndarray:
-        return self.distance_field(source).reshape(self.domain.counts)
-
     def interpolate(self, field_flat: np.ndarray, x) -> float:
         """Multilinear interpolation of a node field at an off-grid point."""
         idx, wts, _ = _corner_weights(self.domain,

@@ -21,11 +21,10 @@ import numpy as np
 import sympy as sp
 
 from .fields import grushin, word_apply_sympy
-from .liftgroup import (GrushinGamma, HeisenbergGamma, _B_SYMS, _H_SYMS,
-                        _block_sum, _fiber_arg, _fiber_scale, _fiber_terms,
-                        _graded_levels, _smoothstep_expr, base_operator_expr,
-                        calibrate_equivalence, graded_nodes_aniso,
-                        normalization_constant)
+from .liftgroup import (CarnotLift, GrushinGamma, HeisenbergGamma, _B_SYMS,
+                        _H_SYMS, _block_sum, _graded_levels, _smoothstep_expr,
+                        base_operator_expr, calibrate_equivalence,
+                        graded_nodes_aniso, normalization_constant)
 
 _SQRT_EPS = 1e-300
 
@@ -91,6 +90,40 @@ class CutoffProfile:
         fall = (s > s2) & (s < s3)
         out[fall] *= 1.0 - smoothstep((s[fall] - s2) / (s3 - s2))
         return out[()]
+
+
+def _fiber_arg(x, y, eta):
+    """(x,0)^{-1} * (y, eta) for base points x, y; broadcasts over eta."""
+    x1 = x[..., 0][..., None]
+    x2 = x[..., 1][..., None]
+    y1 = y[..., 0][..., None]
+    y2 = y[..., 1][..., None]
+    return np.stack(np.broadcast_arrays(
+        y1 - x1, y2 - x2 - x1 * eta, eta + np.zeros_like(x1)), axis=-1)
+
+
+def _fiber_scale(lift: CarnotLift, x, y) -> np.ndarray:
+    """Homogeneous norm of the base displacement (y - x, 0)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = np.stack(np.broadcast_arrays(
+        y[..., 0] - x[..., 0], y[..., 1] - x[..., 1],
+        np.zeros(np.broadcast_shapes(x[..., 0].shape, y[..., 0].shape))),
+        axis=-1)
+    return lift.hom_norm(dx)
+
+
+def _fiber_terms(integrand, s, M: int) -> np.ndarray:
+    """Terms of the midpoint rule for int_R integrand(eta) d eta.
+
+    The eta line is compactified by eta = s tan(theta) at M midpoints of
+    (-pi/2, pi/2) (the fiber integrands decay like eta^{-2}, so the
+    transformed integrand is bounded); s has a trailing axis of length 1
+    and matches the integrand's scale.  Summed over the last axis and
+    multiplied by pi / M, the terms give the integral.
+    """
+    theta = (np.arange(M) + 0.5) / M * np.pi - np.pi / 2
+    return integrand(s * np.tan(theta)) * (s / np.cos(theta) ** 2)
 
 
 class TruncatedKernel:
@@ -492,8 +525,7 @@ def base_shell_integral(i: int, j: int, z, r0: float, r1: float, A=None,
     refl_flat = np.full(idx.size, -1)
     refl_flat[ok] = np.ravel_multi_index(tuple(refl[ok].T), domain.counts)
     pts = domain.points()[idx]
-    G = GrushinGamma(A)
-    K = np.array([float(G.x_derivative((i, j), z, y)) for y in pts])
+    K = GrushinGamma(A).x_derivative((i, j), z, pts)
     flat_to_pos = {f: p for p, f in enumerate(idx)}
     total, used = 0.0, np.zeros(idx.size, dtype=bool)
     for p in range(idx.size):
@@ -620,54 +652,6 @@ def log_growth_grid(i: int, j: int, x, eps_list=(0.02, 0.05, 0.1),
 # ---------------------------------------------------------------------------
 # the operator on grid functions
 # ---------------------------------------------------------------------------
-
-def _support_extent(kernel: TruncatedKernel, y1_max: float) -> tuple:
-    """Half-widths (in x1, x2) of {x : K(x,y) != 0} around a support point.
-
-    The cutoff kills the integrand once ||u|| exceeds 2R/gamma2 with
-    u = (x1-y1, x2-y2+y1 eta, -eta), so |eta| is bounded by the same radius
-    and the x2 reach picks up a |y1| eta cross term.
-    """
-    rad = kernel.profile.support_radius
-    return rad, rad ** 2 + y1_max * rad
-
-
-def operator_matrix(kernel: TruncatedKernel, domain, support_idx,
-                    out_idx=None, chunk: int = 256) -> np.ndarray:
-    """Dense matrix of K_{eps,R}(x_a, y_b) over grid nodes, (out, support)."""
-    pts = domain.points()
-    ys = pts[support_idx]
-    xs = pts if out_idx is None else pts[out_idx]
-    out = np.empty((xs.shape[0], ys.shape[0]))
-    for a in range(0, xs.shape[0], chunk):
-        xa = xs[a:a + chunk]
-        out[a:a + chunk] = kernel(xa[:, None, :], ys[None, :, :])
-    return out
-
-
-def apply_T_grid(kernel: TruncatedKernel, f) -> "object":
-    """T_{eps,R} f on the grid of f; f must vanish near the boundary.
-
-    The support of f, fattened by the kernel's reach, must stay inside the
-    box; otherwise the discrete integral silently loses mass, so this is a
-    hard error.
-    """
-    from .domain import GridFunction, MarginError
-    dom = f.domain
-    nz = np.flatnonzero(np.abs(f.values.ravel()) > 0)
-    if nz.size == 0:
-        return GridFunction(dom, np.zeros(dom.counts), f.margin)
-    pts = dom.points()
-    supp = pts[nz]
-    ex1, ex2 = _support_extent(kernel, float(np.abs(supp[:, 0]).max()))
-    lo = supp.min(axis=0) - (ex1, ex2)
-    hi = supp.max(axis=0) + (ex1, ex2)
-    if np.any(lo < np.array(dom.lower)) or np.any(hi > np.array(dom.upper)):
-        raise MarginError("kernel support of T f would leave the box")
-    M = operator_matrix(kernel, dom, nz)
-    vals = (M @ f.values.ravel()[nz]) * dom.cell_volume
-    return GridFunction(dom, vals.reshape(dom.counts), f.margin)
-
 
 def _graded_kernel(kernel: TruncatedKernel, levels: int, cells: int) -> tuple:
     """Base grid of the lifted T-cubature: (v0, w0, per_level, s0).

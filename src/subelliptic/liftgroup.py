@@ -34,10 +34,6 @@ from .fields import (Poly, PolyVectorField, HormanderSystem, grushin,
 from .geometry import CCGraphConfig, CCMetric
 
 
-class LiftVerificationError(RuntimeError):
-    pass
-
-
 @dataclass
 class CarnotLift:
     """Group structure on R^N lifting a homogeneous system on R^n.
@@ -103,9 +99,6 @@ class CarnotLift:
     def law_exprs(self, usyms, vsyms):
         allsyms = tuple(usyms) + tuple(vsyms)
         return [poly_to_sympy(p, allsyms) for p in self.law]
-
-    def inverse_exprs(self, usyms):
-        return [poly_to_sympy(p, usyms) for p in self.inverse_map]
 
     def field_exprs(self, j: int, usyms):
         return [poly_to_sympy(c, usyms) for c in self.fields[j].comps]
@@ -721,92 +714,87 @@ def spd_sweep(count: int = 12, nu: float = 0.25, seed: int = 11) -> list:
 # saturation: integrating out the fiber
 # ---------------------------------------------------------------------------
 
-def _fiber_arg(x, y, eta):
-    """(x,0)^{-1} * (y, eta) for base points x, y; broadcasts over eta."""
-    x1 = x[..., 0][..., None]
-    x2 = x[..., 1][..., None]
-    y1 = y[..., 0][..., None]
-    y2 = y[..., 1][..., None]
-    return np.stack(np.broadcast_arrays(
-        y1 - x1, y2 - x2 - x1 * eta, eta + np.zeros_like(x1)), axis=-1)
+_GRUSHIN_WORDS: dict = {}
 
 
-def _fiber_scale(lift: CarnotLift, x, y) -> np.ndarray:
-    """Homogeneous norm of the base displacement (y - x, 0)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = np.stack(np.broadcast_arrays(
-        y[..., 0] - x[..., 0], y[..., 1] - x[..., 1],
-        np.zeros(np.broadcast_shapes(x[..., 0].shape, y[..., 0].shape))),
-        axis=-1)
-    return lift.hom_norm(dx)
+def _hyp2f1(ab, c, z):
+    """sympy's hyper((a, b), (c,), z) for lambdify."""
+    import scipy.special
+    return scipy.special.hyp2f1(*ab, *c, z)
 
 
-def _fiber_terms(integrand, s, M: int) -> np.ndarray:
-    """Terms of the midpoint rule for int_R integrand(eta) d eta.
+def _grushin_word_fn(word: tuple):
+    """X-word, in q, of the unnormalized Gamma_A(p; q), as a numpy function.
 
-    The eta line is compactified by eta = s tan(theta) at M midpoints of
-    (-pi/2, pi/2) (the fiber integrands decay like eta^{-2}, so the
-    transformed integrand is bounded); s has a trailing axis of length 1
-    and matches the integrand's scale.  Summed over the last axis and
-    multiplied by pi / M, the terms give the integral.  Shared by the
-    saturated kernels below and ``kernels.TruncatedKernel``.
+    The fiber integral of GammaTilde_A((p,0)^{-1} * (q,eta)) is
+    int_R d eta / (e^2 |P(eta)|) with P a complex quadratic in eta, that is
+    a complete elliptic integral.  With a = q1 - p1, mu = 2 (p1 + q1) / e,
+    B = A^{-1}, e = det sqrt(A) and the discriminant D of P,
+
+        Re D = 4 (B12^2 - B11 B22) a^2 - mu^2,
+        Im D = -4 B12 a mu - 16 B22 (q2 - p2) / e,
+
+    Gamma_A = 2 pi 2F1(1/2, 1/2; 1; k^2) / (e^2 |D|^{1/2}) with
+    k^2 = (|D| + Re D + 2 mu^2) / (2 |D|).  k^2 = 1 only on the diagonal.
+    The hypergeometric form differentiates into 2F1s that stay finite at
+    k = 0 (p1 + q1 = 0, q2 = p2), where sympy's derivative of elliptic_k,
+    written with E and K, is a removable 0/0.  The function takes
+    (p1, p2, q1, q2, B11, B12, B22, e); the matrix enters numerically, so
+    each word is compiled once per process.
     """
-    theta = (np.arange(M) + 0.5) / M * np.pi - np.pi / 2
-    return integrand(s * np.tan(theta)) * (s / np.cos(theta) ** 2)
+    fn = _GRUSHIN_WORDS.get(word)
+    if fn is None:
+        p1, p2 = sp.symbols("p1 p2", real=True)
+        q1, q2 = _B_SYMS
+        b11, b12, b22, e = sp.symbols("B11 B12 B22 e", real=True)
+        a = q1 - p1
+        mu = 2 * (p1 + q1) / e
+        re_d = 4 * (b12 ** 2 - b11 * b22) * a ** 2 - mu ** 2
+        im_d = -4 * b12 * a * mu - 16 * b22 * (q2 - p2) / e
+        abs_d = sp.sqrt(re_d ** 2 + im_d ** 2)
+        k2 = (abs_d + re_d + 2 * mu ** 2) / (2 * abs_d)
+        half = sp.Rational(1, 2)
+        gamma = (2 * sp.pi * sp.hyper((half, half), (1,), k2)
+                 / (e ** 2 * sp.sqrt(abs_d)))
+        fn = sp.lambdify((p1, p2, q1, q2, b11, b12, b22, e),
+                         word_apply_sympy(grushin(1), word, gamma, _B_SYMS),
+                         modules=[{"hyper": _hyp2f1}, "numpy"], cse=True)
+        _GRUSHIN_WORDS[word] = fn
+    return fn
 
 
 class GrushinGamma:
     """Kernel on the base plane obtained by integrating out the fiber.
 
-    Gamma_A(x; y) = int_R GammaTilde_A((x,0)^{-1} * (y,eta)) d eta, by the
-    rule of ``_fiber_terms`` with M doubled until two resolutions agree to
-    `rtol`.
+    Gamma_A(x; y) = int_R GammaTilde_A((x,0)^{-1} * (y,eta)) d eta, in the
+    closed form of ``_grushin_word_fn``.  An instance holds only A^{-1}
+    and det sqrt(A).
     """
 
-    def __init__(self, A=None, rtol: float = 1e-3, base_nodes: int = 96):
-        self.tilde = HeisenbergGamma(A)
-        self.lift = self.tilde.lift
-        self.rtol = rtol
-        self.base_nodes = base_nodes
+    def __init__(self, A=None):
+        A = np.eye(2) if A is None else np.asarray(A, dtype=float)
+        e = float(np.linalg.det(sqrt_spd(A)))
+        B = np.linalg.inv(A)
+        self._coefs = (B[0, 0], B[0, 1], B[1, 1], e)
 
-    def _saturate(self, fn, x, y, scale):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s = np.maximum(np.asarray(scale, dtype=float), 1e-3)[..., None]
-        prev = None
-        M = self.base_nodes
-        for _ in range(5):
-            terms = _fiber_terms(lambda eta: fn(_fiber_arg(x, y, eta)), s, M)
-            cur = np.sum(terms, axis=-1) * (np.pi / M)
-            cur_abs = np.sum(np.abs(terms), axis=-1) * (np.pi / M)
-            if prev is not None:
-                # near zeros of an oscillating kernel the signed value is an
-                # unusable yardstick; fall back to a fraction of the mass
-                floor = np.maximum(np.abs(cur), 0.05 * cur_abs)
-                err = np.max(np.abs(cur - prev) / np.maximum(floor, 1e-300))
-                if err < self.rtol:
-                    return cur
-            prev = cur
-            M *= 2
-        raise RuntimeError("fiber quadrature did not converge")
+    def _word(self, word, p, q) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        fn = _grushin_word_fn(tuple(word))
+        return normalization_constant() * np.asarray(
+            fn(p[..., 0], p[..., 1], q[..., 0], q[..., 1], *self._coefs),
+            dtype=float)
 
     def value(self, x, y) -> np.ndarray:
-        return self._saturate(self.tilde.value, x, y,
-                              _fiber_scale(self.lift, x, y))
+        return self._word((), x, y)
 
     def x_derivative(self, word, x, y) -> np.ndarray:
         """(X_word)_x Gamma_A(x; y): the Y-word kernel, fiber attached to x.
 
-        Uses int (Y_word GammaTilde)((y,0)^{-1} * (x, eta)) d eta.
+        Equals int (Y_word GammaTilde)((y,0)^{-1} * (x, eta)) d eta; the
+        eta-derivatives of the lifted word integrate to zero.
         """
-        return self._saturate(lambda z: self.tilde.word_value(word, z), y, x,
-                              _fiber_scale(self.lift, x, y))
-
-    def y_derivative(self, word, x, y) -> np.ndarray:
-        """(X_word)_y Gamma_A(x; y), fiber attached to y."""
-        return self._saturate(lambda z: self.tilde.word_value(word, z), x, y,
-                              _fiber_scale(self.lift, x, y))
+        return self._word(word, y, x)
 
 
 _B_SYMS = sp.symbols("y1 y2", real=True)

@@ -3,12 +3,15 @@
 import threading
 import time
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.integrate
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from subelliptic import liftgroup
+from subelliptic import kernels, liftgroup
 from subelliptic.domain import BoxDomain
 from subelliptic.fields import word_apply_sympy
 from subelliptic.liftgroup import (GrushinGamma, HeisenbergGamma,
@@ -249,6 +252,97 @@ def test_base_gamma_scaling():
     # joint homogeneity of degree 2 - q = -1
     assert G.value(dil(x), dil(y)) == pytest.approx(
         G.value(x, y) / lam, rel=5e-3)
+
+
+_BASE_WORDS = [w for n in range(3) for w in itertools.product(range(2),
+                                                               repeat=n)]
+
+
+def _saturated_x_derivative(A, word, x, y, rtol=1e-10):
+    """The former fiber quadrature of GrushinGamma.x_derivative: the
+    tan-substituted midpoint rule, its node count doubled until two
+    resolutions agree to rtol."""
+    tilde = HeisenbergGamma(A)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = np.maximum(kernels._fiber_scale(tilde.lift, x, y), 1e-3)[..., None]
+    prev, M = None, 96
+    for _ in range(6):
+        terms = kernels._fiber_terms(
+            lambda eta: tilde.word_value(word, kernels._fiber_arg(y, x, eta)),
+            s, M)
+        cur = np.sum(terms, axis=-1) * (np.pi / M)
+        if prev is not None:
+            floor = np.maximum(np.abs(cur),
+                               0.05 * np.sum(np.abs(terms), axis=-1) * np.pi / M)
+            if np.max(np.abs(cur - prev) / np.maximum(floor, 1e-300)) < rtol:
+                return cur
+        prev, M = cur, 2 * M
+    raise RuntimeError("fiber quadrature did not converge")
+
+
+@pytest.mark.parametrize("A", [None, np.array([[1.3, 0.4], [0.4, 0.7]])])
+def test_closed_form_gamma_matches_fiber_quadrature(A):
+    rng = np.random.default_rng(21)
+    xs = rng.uniform(-1, 1, (6, 2))
+    ys = rng.uniform(-1, 1, (6, 2))
+    # x1 + y1 = 0 and y2 = x2: the modulus k of the closed form is 0 there,
+    # grid-aligned pairs on the shell sweep's 81^2 grid among them
+    x_k0 = np.array([[0.3, 0.2], [-0.45, 0.3], [0.05, -0.6], [0.7, 0.0]])
+    y_k0 = x_k0 * (-1.0, 1.0)
+    xs = np.concatenate([xs, x_k0])
+    ys = np.concatenate([ys, y_k0])
+    G = GrushinGamma(A)
+    for word in _BASE_WORDS:
+        with np.errstate(all="raise"):
+            got = G.x_derivative(word, xs, ys)
+        ref = np.array([_saturated_x_derivative(A, word, x, y)
+                        for x, y in zip(xs, ys)])
+        assert np.all(np.isfinite(got))
+        # the oracle's own stopping tolerance
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    with np.errstate(all="raise"):
+        v = G.value(xs, ys)
+    assert np.array_equal(v, G.x_derivative((), ys, xs))
+
+
+@pytest.mark.parametrize("word", [(), (0, 0), (1, 1)])
+def test_closed_form_gamma_near_diagonal(word):
+    # 1e-3 apart the midpoint rule needs many doublings; adaptive
+    # quadrature of the lifted integrand, with eta = s tan(theta) at the
+    # pair's own scale, is the independent value
+    A = np.array([[1.3, 0.4], [0.4, 0.7]])
+    x = np.array([0.3, 0.2])
+    y = x + (1e-3, 0.0)
+    tilde = HeisenbergGamma(A)
+    s = float(kernels._fiber_scale(tilde.lift, x, y))
+
+    def integrand(theta):
+        eta = s * np.tan(theta)
+        z = kernels._fiber_arg(y, x, np.array([eta]))
+        return float(tilde.word_value(word, z)[0]) * s / np.cos(theta) ** 2
+
+    ref, _ = scipy.integrate.quad(integrand, -np.pi / 2, np.pi / 2,
+                                  epsabs=0, epsrel=1e-12, limit=500)
+    got = float(GrushinGamma(A).x_derivative(word, x, y))
+    assert got == pytest.approx(ref, rel=1e-9)
+
+
+def test_new_matrix_gamma_needs_no_symbolic_work(monkeypatch):
+    x = np.array([0.3, 0.2])
+    y = np.array([-0.2, 0.45])
+    warm = GrushinGamma(np.array([[1.5, 0.2], [0.2, 0.8]]))
+    for word in _BASE_WORDS:
+        warm.x_derivative(word, x, y)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic work for a new matrix")
+
+    monkeypatch.setattr(sp, "lambdify", forbidden)
+    monkeypatch.setattr(sp, "diff", forbidden)
+    G = GrushinGamma(np.array([[0.7, -0.1], [-0.1, 1.9]]))
+    assert all(np.isfinite(G.x_derivative(word, x, y))
+               for word in _BASE_WORDS)
 
 
 class TestCutoffFamily:
