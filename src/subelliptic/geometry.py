@@ -175,8 +175,17 @@ class CCMetric:
     def distance_fields(self, sources) -> np.ndarray:
         """Distances from each source point; shape (k, num_points).
 
+        A sweep acts on each source's column alone, so a column that a
+        sweep leaves bitwise unchanged is at its fixed point: it is
+        written out and dropped from the batch.  The batch stops when the
+        largest change of its live columns falls below the tolerance, the
+        sweep at which it would stop with every column kept, so every
+        field is the one the full batch would return.
+
         Raises UnresolvedDistanceError when the sweeps have not settled
-        within the budget of 20 box diameters per tau plus 100.
+        within the budget of 20 box diameters per tau plus 100, or when
+        every column has settled while the tolerance (<= 0) still asks
+        for a change.
         """
         src = np.atleast_2d(np.asarray(sources, dtype=float))
         nsrc, npts = src.shape[0], self.domain.num_points
@@ -185,28 +194,45 @@ class CCMetric:
             d[self.domain.flat_index_of(src[s]), s] = 0.0
         # The batch size is a property of the input, and it fixes the order
         # in which the corner products are added: one source adds them in
-        # two lanes, several in corner order.  Ball volumes are decided at
-        # rounding level, so one order for both would move recorded results
-        # (the perfbench `balls` workload builds one-source fields, its
-        # `realanalysis` workload 48-source batches); both layouts are kept.
+        # two lanes, several in corner order, also once columns have been
+        # dropped.  Ball volumes are decided at rounding level, so one
+        # order for both would move recorded results (the perfbench
+        # `balls` workload builds one-source fields, its `realanalysis`
+        # workload 48-source batches); both layouts are kept.
         moves = self._moves if nsrc == 1 else self._corner_order_moves()
         diameter = float(np.linalg.norm(
             np.array(self.domain.upper) - np.array(self.domain.lower)))
         max_sweeps = int(20 * diameter / self.tau) + 100
         tol = self.cfg.tolerance
+        out = np.empty((nsrc, npts))
+        live = np.arange(nsrc)
         d_new = d.copy()
-        for _ in range(max_sweeps):
+        for sweep in range(1, max_sweeps + 1):
             for cost, op in moves:
                 cand = op @ d
                 if nsrc == 1:
                     cand = cand[0::2] + cand[1::2]
                 cand += cost[:, None]
                 np.minimum(d_new, cand, out=d_new)
-            delta = np.max(d - d_new)
+            change = np.max(d - d_new, axis=0)
+            delta = change.max()
             d, d_new = d_new, d
             if delta < tol:
-                return np.ascontiguousarray(d.T)
-            d_new[...] = d
+                out[live] = d.T
+                return out
+            settled = change == 0.0
+            if settled.any():
+                out[live[settled]] = d[:, settled].T
+                live = live[~settled]
+                if not live.size:
+                    raise UnresolvedDistanceError(
+                        f"every field is at its fixed point after {sweep} "
+                        f"sweeps, but the tolerance {tol:.3g} asks for a "
+                        "change below it")
+                d = d[:, ~settled]
+                d_new = d.copy()
+            else:
+                d_new[...] = d
         raise UnresolvedDistanceError(
             f"value iteration not converged after {max_sweeps} sweeps "
             f"(last change {delta:.3g}, tolerance {tol:.3g})")

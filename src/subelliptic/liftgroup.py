@@ -19,9 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +29,7 @@ from .domain import BoxDomain
 from .fields import (Poly, PolyVectorField, HormanderSystem, grushin,
                      example3, poly_to_sympy, word_apply_sympy)
 from .geometry import CCGraphConfig, CCMetric
+from .pool import _ordered_map
 
 
 @dataclass
@@ -559,36 +557,6 @@ def _graded_levels(half_widths, cells_per_axis, levels: int,
 # a 2 MB L2 cache; whole levels (0.26-2 M nodes) do not.
 _BLOCK = 1 << 15
 
-# one worker per usable core
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-_POOL_THREAD = threading.local()
-
-
-def _enter_pool():
-    _POOL_THREAD.active = True
-
-
-def _ordered_map(fn, items) -> list:
-    """[fn(item) for item in items], on up to ``_WORKERS`` threads.
-
-    Results come back in item order, and an exception raised by fn reaches
-    the caller as raised.  A map called from inside a worker runs inline,
-    so nested maps cannot deadlock waiting for the threads they occupy.
-    The work is numpy on arrays of a block's size, which releases the
-    interpreter lock.
-    """
-    items = list(items)
-    workers = min(_WORKERS, len(items))
-    if workers < 2 or getattr(_POOL_THREAD, "active", False):
-        return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(workers, initializer=_enter_pool)
-    try:
-        return list(pool.map(fn, items))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
 
 def _block_sum(block_fn, n: int):
     """Sum of block_fn(sl) over the ``_BLOCK``-node slices sl of range(n).
@@ -927,6 +895,36 @@ class CutoffFamily:
         return self.H * self.R
 
 
+_CUTOFF_WORDS: dict = {}
+
+
+def _cutoff_words_fn(lift: CarnotLift):
+    """The X-words of length <= 2 of the cutoff profile psi, jointly.
+
+    psi(u) is the quintic smoothstep of (t2^L - s) / (t2^L - t1^L) with
+    s = sum_i u_i^(L / w_i), L the norm exponent (every exponent is even,
+    so no absolute values are needed).  Returns the words, in the order
+    (), (i,), (i, j), and one numpy function of (u_1, ..., u_N, t1, t2)
+    that gives them all; the radii are symbols, so the words are compiled
+    with common-subexpression elimination once per lift and process.
+    """
+    hit = _CUTOFF_WORDS.get(lift.name)
+    if hit is None:
+        usyms = lift.symbols("u")
+        t1, t2 = sp.symbols("t1 t2", positive=True)
+        L = lift.norm_exponent
+        s_expr = sum(u ** (L // w) for u, w in zip(usyms, lift.weights))
+        psi = _smoothstep_expr((t2 ** L - s_expr) / (t2 ** L - t1 ** L))
+        m = lift.base.m
+        words = [(), *[(i,) for i in range(m)],
+                 *[(i, j) for i in range(m) for j in range(m)]]
+        fn = sp.lambdify((*usyms, t1, t2),
+                         [word_apply_sympy(lift, w, psi, usyms)
+                          for w in words], modules="numpy", cse=True)
+        hit = _CUTOFF_WORDS[lift.name] = (words, fn)
+    return hit
+
+
 def cutoff_family(lift: CarnotLift, x, R: float, domain: BoxDomain,
                   eta_nodes: int = 161,
                   cfg: CCGraphConfig = CCGraphConfig()) -> CutoffFamily:
@@ -950,18 +948,7 @@ def cutoff_family(lift: CarnotLift, x, R: float, domain: BoxDomain,
     t1 = R / (eq.gamma1 * fib.kappa)
     t2 = 2.0 * t1
     H = 2.0 * eq.gamma2 / (eq.gamma1 * fib.kappa)
-    L = lift.norm_exponent
-
-    usyms = lift.symbols("u")
-    # every exponent L // w is even, so no absolute values are needed
-    s_expr = sum(u ** (L // w) for u, w in zip(usyms, lift.weights))
-    psi = _smoothstep_expr((t2 ** L - s_expr) / (t2 ** L - t1 ** L))
-    words = [(), *[(i,) for i in range(lift.base.m)],
-             *[(i, j) for i in range(lift.base.m)
-               for j in range(lift.base.m)]]
-    word_fns = {w: sp.lambdify(usyms, word_apply_sympy(lift, w, psi, usyms),
-                               "numpy")
-                for w in words}
+    words, words_fn = _cutoff_words_fn(lift)
 
     metric = get_metric(lift.base, domain, cfg)
     volB = ball_volume(lift.base, x, R, domain, metric=metric)
@@ -978,11 +965,11 @@ def cutoff_family(lift: CarnotLift, x, R: float, domain: BoxDomain,
     ucomp = [u[..., k] for k in range(lift.N)]
 
     origin = [np.zeros_like(eta) for _ in range(lift.N - lift.p)] + [eta]
-    c0 = float(np.trapezoid(word_fns[()](*origin), eta))
+    c0 = float(np.trapezoid(words_fn(*origin, t1, t2)[0], eta))
 
     grids = {}
-    for w, fn in word_fns.items():
-        vals = np.trapezoid(fn(*ucomp), eta, axis=1) / c0
+    for w, vals in zip(words, words_fn(*ucomp, t1, t2)):
+        vals = np.trapezoid(vals, eta, axis=1) / c0
         grids[w] = GridFunction(domain, vals.reshape(domain.counts))
     return CutoffFamily(center=x, R=R, H=H, values=grids[()],
                         derivatives={w: g for w, g in grids.items() if w},

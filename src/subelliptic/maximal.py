@@ -18,6 +18,7 @@ from scipy import sparse
 from .domain import BoxDomain, GridFunction, MarginError
 from .fields import HormanderSystem
 from .geometry import CCGraphConfig, get_metric
+from .pool import _ordered_map
 
 
 class CoverageGapError(RuntimeError):
@@ -113,6 +114,12 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
                       chunk: int = 48) -> BallFamily:
     """Distance fields from every stride-th grid node, computed in chunks.
 
+    The chunks of ``chunk`` consecutive centers run on the ordered thread
+    map.  A chunk's value iteration stops at the sweep where its slowest
+    field settles, so chunk membership fixes the stop sweep of each field:
+    the fields do not depend on the number of workers, but a different
+    ``chunk`` changes them at rounding level.
+
     Raises CoverageGapError unless every grid point lies in at least one
     family ball at the smallest radius (possibly a clipped one: coverage is
     a geometric property of the center net, clipping a per-use filter).
@@ -125,9 +132,14 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
     mesh = np.meshgrid(*idx_axes, indexing="ij")
     flat = np.ravel_multi_index(tuple(m.ravel() for m in mesh), domain.counts)
     centers = np.array([domain.point_at(i) for i in flat])
+    if min(chunk, len(centers)) > 1:
+        metric._corner_order_moves()     # built once, before the threads
     dist = np.empty((centers.shape[0], domain.num_points))
-    for lo in range(0, centers.shape[0], chunk):
+
+    def fill(lo):
         dist[lo:lo + chunk] = metric.distance_fields(centers[lo:lo + chunk])
+
+    _ordered_map(fill, range(0, len(centers), chunk))
     radii = r0 * 2.0 ** np.arange(num_radii)
     fam = BallFamily(domain=domain, q=float(system.q), centers=centers,
                      radii=radii, distance=dist, stride=stride)

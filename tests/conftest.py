@@ -6,8 +6,37 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from subelliptic import estimates, fields, maximal
+from subelliptic import estimates, fields, geometry, maximal
 from subelliptic.domain import BoxDomain
+
+
+def _unretired_fields(metric, sources):
+    """CCMetric.distance_fields as it was before settled columns were
+    dropped: every column is swept until the whole batch stops."""
+    src = np.atleast_2d(np.asarray(sources, dtype=float))
+    nsrc, npts = src.shape[0], metric.domain.num_points
+    d = np.full((npts, nsrc), geometry._BIG)
+    for s in range(nsrc):
+        d[metric.domain.flat_index_of(src[s]), s] = 0.0
+    moves = metric._moves if nsrc == 1 else metric._corner_order_moves()
+    d_new = d.copy()
+    while True:
+        for cost, op in moves:
+            cand = op @ d
+            if nsrc == 1:
+                cand = cand[0::2] + cand[1::2]
+            cand += cost[:, None]
+            np.minimum(d_new, cand, out=d_new)
+        delta = np.max(d - d_new)
+        d, d_new = d_new, d
+        if delta < metric.cfg.tolerance:
+            return np.ascontiguousarray(d.T)
+        d_new[...] = d
+
+
+@pytest.fixture(scope="session")
+def unretired_fields():
+    return _unretired_fields
 
 
 @pytest.fixture(scope="session")

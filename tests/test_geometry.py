@@ -237,8 +237,23 @@ def test_sparse_value_iteration_matches_einsum_sweep(g1, dom41):
                                    rtol=1e-14, atol=0)
 
 
+def test_settled_columns_match_unretired_sweep(g1, dom41, unretired_fields):
+    # the edge source (0, 2) settles about 2.5 times later than the
+    # interior ones, so they leave the batch early and the edge column is
+    # swept alone, still in the batch's corner order
+    m = get_metric(g1, dom41)
+    batch = [(0.0, 2.0), (0.0, 0.0), (0.5, -0.5), (-1.0, 0.3)]
+    assert np.array_equal(m.distance_fields(batch),
+                          unretired_fields(m, batch))
+
+
 def test_unconverged_value_iteration_raises(g1):
     dom = BoxDomain((-1.0, -1.0), (1.0, 1.0), (11, 11))
     m = geometry.CCMetric(g1, dom, geometry.CCGraphConfig(tolerance=-1.0))
     with pytest.raises(geometry.UnresolvedDistanceError):
         m.distance_field((0.0, 0.0))
+    # every column reaches its fixed point and leaves the batch, while no
+    # change is below a negative tolerance: the error comes at once
+    with pytest.raises(geometry.UnresolvedDistanceError,
+                       match="fixed point"):
+        m.distance_fields([(0.0, 0.0), (0.5, -0.5), (-0.8, 0.8)])

@@ -274,7 +274,7 @@ def test_representation_blocks_independent_of_workers(monkeypatch, cells):
     # cells=16 is one block of the base grid, cells=40 spans four (the last
     # one partial); blocks are summed in a fixed order, so the residual is
     # bitwise the same on one worker and on several
-    from subelliptic import liftgroup
+    from subelliptic import pool
     y1, y2 = kernels._B_SYMS
     u = sp.exp(-(y1 ** 2 + 2 * y2 ** 2)) * sp.cos(y1)
     A = np.array([[1.2, -0.3], [-0.3, 0.9]])
@@ -282,9 +282,9 @@ def test_representation_blocks_independent_of_workers(monkeypatch, cells):
     i, j, eps, R, levels = 0, 1, 0.2, 10.0, 3
     args = (i, j, A, u, xs)
     kw = dict(eps=eps, R=R, levels=levels, cells=cells)
-    monkeypatch.setattr(liftgroup, "_WORKERS", max(liftgroup._WORKERS, 2))
+    monkeypatch.setattr(pool, "_WORKERS", max(pool._WORKERS, 2))
     many = kernels.representation_residual(*args, **kw)
-    monkeypatch.setattr(liftgroup, "_WORKERS", 1)
+    monkeypatch.setattr(pool, "_WORKERS", 1)
     one = kernels.representation_residual(*args, **kw)
     assert one == many
     # oracle: every graded node evaluated directly and summed in one shot

@@ -11,7 +11,7 @@ import scipy.integrate
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from subelliptic import kernels, liftgroup
+from subelliptic import kernels, liftgroup, pool
 from subelliptic.domain import BoxDomain
 from subelliptic.fields import word_apply_sympy
 from subelliptic.liftgroup import (GrushinGamma, HeisenbergGamma,
@@ -153,19 +153,19 @@ def _within(seconds, fn):
 
 
 def test_ordered_map_keeps_item_order(monkeypatch):
-    monkeypatch.setattr(liftgroup, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_WORKERS", 2)
 
     def square_late(k):
         # earlier items finish last
         time.sleep(0.005 * (8 - k))
         return k * k
 
-    got = _within(30, lambda: liftgroup._ordered_map(square_late, range(8)))
+    got = _within(30, lambda: pool._ordered_map(square_late, range(8)))
     assert got == [k * k for k in range(8)]
 
 
 def test_ordered_map_raises_worker_exception(monkeypatch):
-    monkeypatch.setattr(liftgroup, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_WORKERS", 2)
 
     class Boom(ValueError):
         pass
@@ -176,19 +176,19 @@ def test_ordered_map_raises_worker_exception(monkeypatch):
         return k
 
     with pytest.raises(Boom):
-        _within(30, lambda: liftgroup._ordered_map(fail_at_three, range(6)))
+        _within(30, lambda: pool._ordered_map(fail_at_three, range(6)))
 
 
 def test_ordered_map_nested_runs_inline(monkeypatch):
-    monkeypatch.setattr(liftgroup, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_WORKERS", 2)
 
     def outer(k):
         me = threading.get_ident()
-        inner = liftgroup._ordered_map(
+        inner = pool._ordered_map(
             lambda m: (threading.get_ident(), k * m), range(4))
         return me, inner
 
-    got = _within(30, lambda: liftgroup._ordered_map(outer, range(4)))
+    got = _within(30, lambda: pool._ordered_map(outer, range(4)))
     for k, (me, inner) in enumerate(got):
         assert me != threading.get_ident()
         assert inner == [(me, k * m) for m in range(4)]
@@ -221,9 +221,9 @@ def test_convolution_blocks_independent_of_workers(monkeypatch):
         return np.exp(-(y1 * y1 + 0.5 * y2 * y2 + y3 * y3))
 
     xs = np.array([[0.4, 0.1, -0.2]])
-    monkeypatch.setattr(liftgroup, "_WORKERS", max(liftgroup._WORKERS, 2))
+    monkeypatch.setattr(pool, "_WORKERS", max(pool._WORKERS, 2))
     many = liftgroup._convolution_integrals(gamma_fn, Lu, xs)
-    monkeypatch.setattr(liftgroup, "_WORKERS", 1)
+    monkeypatch.setattr(pool, "_WORKERS", 1)
     one = liftgroup._convolution_integrals(gamma_fn, Lu, xs)
     assert np.array_equal(one, many)
     ref = _convolution_one_shot(gamma_fn, Lu, xs)

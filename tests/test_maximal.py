@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from subelliptic import maximal
+from subelliptic import maximal, pool
 from subelliptic.domain import GridFunction
+from subelliptic.geometry import get_metric
 from subelliptic.maximal import (CoverageGapError, abs_power, fitted_constant,
                                  hl_maximal, mean_oscillation,
                                  oscillation_check_abstract, sample_balls,
@@ -22,6 +23,29 @@ def test_family_coverage_and_clipping(family41, dom41):
     # the largest radius is clipped somewhere near the box corners
     assert family41.clipped[:, -1].any()
     assert family41.radii[1] == pytest.approx(2 * family41.radii[0])
+
+
+@pytest.fixture(scope="module")
+def stride3_unretired(g1, dom41, unretired_fields):
+    """The perfbench family's fields (41^2, stride 3, 48-source chunks)
+    by the unretired sweep, chunk by chunk."""
+    axis = np.append(np.arange(0, 41, 3), 40)
+    centers = dom41.points().reshape(41, 41, 2)[np.ix_(axis, axis)]
+    centers = centers.reshape(-1, 2)
+    m = get_metric(g1, dom41)
+    return np.concatenate([unretired_fields(m, centers[lo:lo + 48])
+                           for lo in range(0, len(centers), 48)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_family_matches_unretired_chunks(monkeypatch, g1, dom41,
+                                         stride3_unretired, workers):
+    # chunks are fixed, so each field stops at its chunk's sweep on any
+    # number of workers, and dropping settled columns changes no bit
+    monkeypatch.setattr(pool, "_WORKERS", workers)
+    fam = maximal.build_ball_family(g1, dom41, r0=0.6, num_radii=2,
+                                    stride=3)
+    assert np.array_equal(fam.distance, stride3_unretired)
 
 
 def test_coverage_gap_raises(g1, dom41):
