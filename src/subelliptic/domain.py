@@ -97,12 +97,10 @@ class BoxDomain:
         return np.array([self.lower[k] + self.spacing[k] * multi[k]
                          for k in range(self.dim)])
 
-    def contains(self, x, margin_cells: int = 0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        h = self.spacing
-        lo = np.array(self.lower) + margin_cells * h
-        hi = np.array(self.upper) - margin_cells * h
-        return bool(np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12))
+        return bool(np.all(x >= np.array(self.lower) - 1e-12)
+                    and np.all(x <= np.array(self.upper) + 1e-12))
 
     def refine(self, factor: int = 2) -> "BoxDomain":
         return BoxDomain(self.lower, self.upper,
@@ -135,12 +133,12 @@ class GridFunction:
             raise MarginError(f"margin {m} exhausts the grid")
         return tuple(slice(m, c - m) for c in self.domain.counts)
 
-    def interior_values(self, extra: int = 0) -> np.ndarray:
-        return self.values[self.interior_slice(extra)]
+    def interior_values(self) -> np.ndarray:
+        return self.values[self.interior_slice()]
 
-    def interior_mask(self, extra: int = 0) -> np.ndarray:
+    def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.domain.counts, dtype=bool)
-        mask[self.interior_slice(extra)] = True
+        mask[self.interior_slice()] = True
         return mask
 
     def lp_norm(self, p: float) -> float:

@@ -154,9 +154,9 @@ class DiscreteOperator:
         return cls(system, coeffs, nu, domain)
 
     @classmethod
-    def identity(cls, system: HormanderSystem, domain: BoxDomain,
-                 nu: float = 0.5) -> "DiscreteOperator":
-        return cls.constant(system, np.eye(system.m), nu, domain)
+    def identity(cls, system: HormanderSystem,
+                 domain: BoxDomain) -> "DiscreteOperator":
+        return cls.constant(system, np.eye(system.m), 0.5, domain)
 
 
 def apply_L(op: DiscreteOperator, u: GridFunction) -> GridFunction:
@@ -288,11 +288,11 @@ def dilate_expr(system: HormanderSystem, expr: sp.Expr, xs,
     return expr.subs(sub, simultaneous=True)
 
 
-def test_function_suite(xs, count: int = 10):
-    """Deterministic mixed bump/oscillation expressions for norm sweeps."""
+def test_function_suite(xs):
+    """Ten deterministic bump/oscillation expressions for norm sweeps."""
     rng = np.random.default_rng(20260826)
     out = []
-    for _ in range(count):
+    for _ in range(10):
         widths = rng.uniform(0.4, 1.0, size=len(xs))
         if rng.random() < 0.5:
             out.append(bump_expr(xs, widths, amplitude=rng.uniform(0.5, 2)))

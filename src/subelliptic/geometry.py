@@ -39,21 +39,16 @@ class UnresolvedDistanceError(RuntimeError):
 class CCGraphConfig:
     """Controls for the flow-move scheme underlying the discrete CC metric."""
 
-    tau: float | None = None          # time per control segment; None = auto
-    controls_per_field: int = 5       # odd number of control levels in [-1,1]
-    substeps: int = 2                 # RK4 substeps per move
-    step_cells: float = 1.5           # auto-tau target: cells per unit step
+    tau: float | None = None          # time per control segment; None = 1.5 h
     tolerance: float = 1e-9           # sweep convergence threshold
 
     def __post_init__(self):
-        if self.controls_per_field < 3 or self.controls_per_field % 2 == 0:
-            raise ValueError("controls_per_field must be an odd integer >= 3")
         if self.tau is not None and self.tau <= 0:
             raise ValueError("tau must be positive")
 
 
 def _rk4_flow(system: HormanderSystem, a: np.ndarray, pts: np.ndarray,
-              tau: float, substeps: int) -> np.ndarray:
+              tau: float) -> np.ndarray:
     """Integrate x' = sum_j a_j X_j(x) for time tau from each point."""
 
     def F(x):
@@ -61,8 +56,8 @@ def _rk4_flow(system: HormanderSystem, a: np.ndarray, pts: np.ndarray,
         return np.einsum("...mn,m->...n", vals, a)
 
     x = pts
-    h = tau / substeps
-    for _ in range(substeps):
+    h = tau / 2
+    for _ in range(2):
         k1 = F(x)
         k2 = F(x + 0.5 * h * k1)
         k3 = F(x + 0.5 * h * k2)
@@ -116,7 +111,7 @@ class CCMetric:
         self.domain = domain
         self.cfg = cfg
         self.tau = cfg.tau if cfg.tau is not None else \
-            cfg.step_cells * float(np.min(domain.spacing))
+            1.5 * float(np.min(domain.spacing))
         self._moves = self._build_moves()
         self._corner_moves = None
 
@@ -132,14 +127,14 @@ class CCMetric:
         npts, counts = dom.num_points, np.array(dom.counts)
         ncorner = 2 ** dom.dim
         lanes = np.r_[0:ncorner:2, 1:ncorner:2]
-        levels = np.linspace(-1.0, 1.0, self.cfg.controls_per_field)
+        levels = np.linspace(-1.0, 1.0, 5)
         moves = []
         for combo in itertools.product(levels, repeat=sys_.m):
             a = np.array(combo)
             amax = np.max(np.abs(a))
             if amax == 0.0:
                 continue
-            end = _rk4_flow(sys_, a, pts, tau, self.cfg.substeps)
+            end = _rk4_flow(sys_, a, pts, tau)
             idx, wts, cell = _corner_weights(dom, end)
             # a move whose endpoint cell leaves the grid is not taken
             valid = np.all((cell >= 0) & (cell <= counts - 2), axis=1)
@@ -288,18 +283,16 @@ class DistanceResult:
         return self.value
 
 
-def cc_distance(system: HormanderSystem, x, y, domain: BoxDomain,
-                cfg: CCGraphConfig = CCGraphConfig()) -> DistanceResult:
+def cc_distance(system: HormanderSystem, x, y,
+                domain: BoxDomain) -> DistanceResult:
     """Distance at two resolutions; reports a refinement error bound."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (domain.contains(x) and domain.contains(y)):
         return DistanceResult(float("inf"), float("inf"), "unresolved")
-    m_coarse = get_metric(system, domain, cfg)
-    fine_cfg = CCGraphConfig(tau=m_coarse.tau / 2.0,
-                             controls_per_field=cfg.controls_per_field,
-                             substeps=cfg.substeps)
-    m_fine = get_metric(system, domain.refine(2), fine_cfg)
+    m_coarse = get_metric(system, domain)
+    m_fine = get_metric(system, domain.refine(2),
+                        CCGraphConfig(tau=m_coarse.tau / 2.0))
     d_c = m_coarse.interpolate(cached_distance_field(m_coarse, x), y)
     d_f = m_fine.interpolate(cached_distance_field(m_fine, x), y)
     if d_f > _BIG / 2:
@@ -309,10 +302,9 @@ def cc_distance(system: HormanderSystem, x, y, domain: BoxDomain,
 
 
 def ball_volume(system: HormanderSystem, center, r: float, domain: BoxDomain,
-                cfg: CCGraphConfig = CCGraphConfig(),
                 metric: CCMetric | None = None) -> float:
     """Grid-count measure of B(center, r); refuses clipped balls."""
-    m = metric if metric is not None else get_metric(system, domain, cfg)
+    m = metric if metric is not None else get_metric(system, domain)
     dist = cached_distance_field(m, np.asarray(center, dtype=float))
     inside = (dist < r).reshape(domain.counts)
     if _touches_boundary(inside):
@@ -350,13 +342,13 @@ class BallCover:
 
 
 def greedy_cover(system: HormanderSystem, domain: BoxDomain, R: float,
-                 H: float, cfg: CCGraphConfig = CCGraphConfig()) -> BallCover:
+                 H: float) -> BallCover:
     """Greedy maximal R/2-packing in lexicographic grid order.
 
     The resulting R-balls cover every grid point (asserted); the overlap
     count of the HR-dilated balls is returned per grid point.
     """
-    m = get_metric(system, domain, cfg)
+    m = get_metric(system, domain)
     npts = domain.num_points
     min_dist = np.full(npts, np.inf)
     center_fields: list[np.ndarray] = []

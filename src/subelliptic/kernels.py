@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
+from .domain import BoxDomain
 from .fields import grushin, word_apply_sympy
+from .geometry import _touches_boundary, cached_distance_field, get_metric
 from .liftgroup import (CarnotLift, GrushinGamma, HeisenbergGamma, _B_SYMS,
                         _H_SYMS, _block_sum, _graded_levels, _smoothstep_expr,
                         base_operator_expr, calibrate_equivalence,
@@ -31,6 +33,10 @@ _SQRT_EPS = 1e-300
 # the one base system, so get_metric's per-system cache (metric and
 # distance fields) is shared by every call in this module
 _BASE_SYSTEM = grushin(1)
+
+# the 81^2 grid on [-2, 2]^2 of the kernel-estimate fits, built per call so
+# the grid budget is checked when a fit runs
+_FIT_BOX = ((-2.0, -2.0), (2.0, 2.0), (81, 81))
 
 
 def smoothstep(t):
@@ -129,8 +135,7 @@ def _fiber_terms(integrand, s, M: int) -> np.ndarray:
 class TruncatedKernel:
     """K_{eps,R}(x, y) = int (Y_i Y_j Gamma . psi)((y,eta)^{-1} (x,0)) deta."""
 
-    def __init__(self, i: int, j: int, eps: float, R: float, A=None,
-                 eta_nodes: int = 192):
+    def __init__(self, i: int, j: int, eps: float, R: float, A=None):
         self.i, self.j = i, j
         self.tilde = HeisenbergGamma(A)
         self.lift = self.tilde.lift
@@ -140,7 +145,6 @@ class TruncatedKernel:
         self.eps, self.R = eps, R
         self._fn = self.tilde.word_fn((i, j))
         self._c0 = normalization_constant()
-        self.eta_nodes = eta_nodes
 
     def __call__(self, x, y) -> np.ndarray:
         """The fiber integral uses eta = s tan(theta) with s matched to the
@@ -157,12 +161,11 @@ class TruncatedKernel:
                 self._fn(z[..., 0], z[..., 1], z[..., 2]),
                 dtype=float) * self.profile(z)
 
-        M = self.eta_nodes
+        M = 192
         return np.sum(_fiber_terms(integrand, s, M), axis=-1) * (np.pi / M)
 
 
-def kernel_signed_and_abs_integral(kernel: TruncatedKernel, x,
-                                   levels: int | None = None) -> tuple:
+def kernel_signed_and_abs_integral(kernel: TruncatedKernel, x) -> tuple:
     """(int K(x,y) dy, int |K(x,y)| dy) over an anisotropic graded grid.
 
     The grid covers the kernel support and refines toward x with cells
@@ -170,10 +173,9 @@ def kernel_signed_and_abs_integral(kernel: TruncatedKernel, x,
     """
     x = np.asarray(x, dtype=float)
     Lam = kernel.profile.support_radius
-    if levels is None:
-        # grade until the innermost box is below the inner cutoff edge
-        inner = kernel.eps / (2.0 * kernel.gamma2)
-        levels = max(4, int(math.ceil(math.log(Lam / inner) / math.log(4.0))) + 1)
+    # grade until the innermost box is below the inner cutoff edge
+    inner = kernel.eps / (2.0 * kernel.gamma2)
+    levels = max(4, int(math.ceil(math.log(Lam / inner) / math.log(4.0))) + 1)
     half = (1.2 * Lam, 1.2 * max(Lam, Lam ** 2))
     ys, wts = graded_nodes_aniso(x, half, 48, levels, (4.0, 16.0))
     vals = kernel(x, ys)
@@ -184,12 +186,12 @@ def kernel_signed_and_abs_integral(kernel: TruncatedKernel, x,
 # surface and shell quadrature on homogeneous-norm spheres
 # ---------------------------------------------------------------------------
 
-def _sphere_directions(n_theta: int = 48, n_phi: int = 96) -> tuple:
+def _sphere_directions() -> tuple:
     """Product rule on the Euclidean S^2; the weight-2 axis is polar."""
-    mu, wmu = np.polynomial.legendre.leggauss(n_theta)
-    phi = (np.arange(n_phi) + 0.5) / n_phi * 2 * np.pi
+    mu, wmu = np.polynomial.legendre.leggauss(48)
+    phi = (np.arange(96) + 0.5) / 96 * 2 * np.pi
     MU, PHI = np.meshgrid(mu, phi, indexing="ij")
-    W = np.broadcast_to(wmu[:, None], MU.shape) * (2 * np.pi / n_phi)
+    W = np.broadcast_to(wmu[:, None], MU.shape) * (2 * np.pi / 96)
     sin_t = np.sqrt(1.0 - MU ** 2)
     omega = np.stack([sin_t * np.cos(PHI), MU, sin_t * np.sin(PHI)], axis=-1)
     return omega.reshape(-1, 3), W.ravel()
@@ -210,16 +212,16 @@ def _radial_stretch(omega: np.ndarray, r: float) -> np.ndarray:
 _SURFACE_CACHE: dict = {}
 
 
-def surface_nodes(r: float, n_theta: int = 48, n_phi: int = 96) -> tuple:
+def surface_nodes(r: float) -> tuple:
     """Nodes u, Euclidean surface weights, unit normals, |grad N| on {N=r}.
 
     For a star-shaped surface u = t(omega) omega the Euclidean surface
     measure satisfies dS (nu . omega_hat) = t^2 dOmega.
     """
-    key = (round(r, 14), n_theta, n_phi)
+    key = round(r, 14)
     if key in _SURFACE_CACHE:
         return _SURFACE_CACHE[key]
-    omega, w = _sphere_directions(n_theta, n_phi)
+    omega, w = _sphere_directions()
     t = _radial_stretch(omega, r)
     u = t[:, None] * omega
     grad_s = np.stack([4 * u[:, 0] ** 3, 2 * u[:, 1], 4 * u[:, 2] ** 3],
@@ -234,8 +236,8 @@ def surface_nodes(r: float, n_theta: int = 48, n_phi: int = 96) -> tuple:
     return out
 
 
-def surface_integral(fn, r: float, **kw) -> float:
-    u, w, nu, _ = surface_nodes(r, **kw)
+def surface_integral(fn, r: float) -> float:
+    u, w, nu, _ = surface_nodes(r)
     return float(np.sum(w * fn(u, nu)))
 
 
@@ -258,15 +260,14 @@ def flux_constant(i: int, j: int, A=None, r: float = 1.0) -> float:
     return surface_integral(integrand, r)
 
 
-def _shell_coarea(fn_vals_at, r0: float, r1: float, n_r: int = 16,
-                  **kw) -> float:
+def _shell_coarea(fn_vals_at, r0: float, r1: float) -> float:
     """int_{r0 < ||v|| < r1} f dv via the co-area formula."""
-    xr, wr = np.polynomial.legendre.leggauss(n_r)
+    xr, wr = np.polynomial.legendre.leggauss(16)
     rs = 0.5 * (r1 - r0) * xr + 0.5 * (r1 + r0)
     ws = 0.5 * (r1 - r0) * wr
     total = 0.0
     for r, w in zip(rs, ws):
-        u, w_surf, _, grad_N = surface_nodes(float(r), **kw)
+        u, w_surf, _, grad_N = surface_nodes(float(r))
         total += w * float(np.sum(w_surf * fn_vals_at(u) / grad_N))
     return total
 
@@ -390,10 +391,9 @@ def kernel_eval(i: int, j: int, x, y, A=None) -> float:
     return float(GrushinGamma(A).x_derivative((i, j), x, y))
 
 
-def _metric_sample(centers, domain, cfg=None):
+def _metric_sample(centers, domain):
     """Base grushin metric with distance fields from the given centers."""
-    from .geometry import CCGraphConfig, get_metric
-    m = get_metric(_BASE_SYSTEM, domain, cfg or CCGraphConfig())
+    m = get_metric(_BASE_SYSTEM, domain)
     fields = m.distance_fields(centers)
     return m, fields
 
@@ -406,9 +406,7 @@ class StandardEstimateFit:
     skipped: int           # pairs dropped for clipped balls or tiny distances
 
 
-def standard_estimate_fit(i: int, j: int, A=None, n_centers: int = 20,
-                          per_center: int = 15, seed: int = 5,
-                          domain=None) -> StandardEstimateFit:
+def standard_estimate_fit(i: int, j: int, A=None) -> StandardEstimateFit:
     """Fit of the size estimate |K(x,y)| * |B(x, d(x,y))| <= A_fit.
 
     Samples pairs at a spread of distances and normalizes the kernel by the
@@ -416,18 +414,16 @@ def standard_estimate_fit(i: int, j: int, A=None, n_centers: int = 20,
     maximum.  Pairs whose ball would be clipped by the box are skipped and
     counted.
     """
-    from .domain import BoxDomain
-    rng = np.random.default_rng(seed)
-    if domain is None:
-        domain = BoxDomain((-2.0, -2.0), (2.0, 2.0), (81, 81))
-    centers = rng.uniform(-0.6, 0.6, size=(n_centers, 2))
+    rng = np.random.default_rng(5)
+    domain = BoxDomain(*_FIT_BOX)
+    centers = rng.uniform(-0.6, 0.6, size=(20, 2))
     m, dfields = _metric_sample(centers, domain)
     counts = domain.counts
     G = GrushinGamma(A)
     vals, skipped = [], 0
     for c, df in zip(centers, dfields):
         dgrid = df.reshape(counts)
-        for _ in range(per_center):
+        for _ in range(15):
             y = c + rng.uniform(-0.8, 0.8, size=2)
             if not domain.contains(y):
                 skipped += 1
@@ -437,7 +433,6 @@ def standard_estimate_fit(i: int, j: int, A=None, n_centers: int = 20,
                 skipped += 1
                 continue
             inside = dgrid < d
-            from .geometry import _touches_boundary
             if _touches_boundary(inside):
                 skipped += 1
                 continue
@@ -450,27 +445,22 @@ def standard_estimate_fit(i: int, j: int, A=None, n_centers: int = 20,
                                samples=int(vals.size), skipped=skipped)
 
 
-def mean_value_fit(i: int, j: int, A=None, n_centers: int = 12,
-                   per_center: int = 10, seed: int = 6,
-                   domain=None) -> StandardEstimateFit:
+def mean_value_fit(i: int, j: int, A=None) -> StandardEstimateFit:
     """Fit of the smoothness estimate for the base kernel.
 
     For triples with d(x0, y) >= 2 d(x0, x):
     |K(x,y) - K(x0,y)| <= B_fit * (d(x0,x) / d(x0,y)) / |B(x0, d(x0,y))|.
     """
-    from .domain import BoxDomain
-    from .geometry import _touches_boundary
-    rng = np.random.default_rng(seed)
-    if domain is None:
-        domain = BoxDomain((-2.0, -2.0), (2.0, 2.0), (81, 81))
-    centers = rng.uniform(-0.5, 0.5, size=(n_centers, 2))
+    rng = np.random.default_rng(6)
+    domain = BoxDomain(*_FIT_BOX)
+    centers = rng.uniform(-0.5, 0.5, size=(12, 2))
     m, dfields = _metric_sample(centers, domain)
     counts = domain.counts
     G = GrushinGamma(A)
     vals, skipped = [], 0
     for x0, df in zip(centers, dfields):
         dgrid = df.reshape(counts)
-        for _ in range(per_center):
+        for _ in range(10):
             x = x0 + rng.uniform(-0.08, 0.08, size=2)
             y = x0 + rng.uniform(-0.8, 0.8, size=2)
             if not (domain.contains(x) and domain.contains(y)):
@@ -495,21 +485,18 @@ def mean_value_fit(i: int, j: int, A=None, n_centers: int = 12,
                                samples=int(vals.size), skipped=skipped)
 
 
-def base_shell_integral(i: int, j: int, z, r0: float, r1: float, A=None,
-                        domain=None) -> float:
+def base_shell_integral(i: int, j: int, z, r0: float, r1: float,
+                        A=None) -> float:
     """|int_{r0 < d(z,y) < r1} K(z, y) dy| on the grid, diagonal excluded.
 
     z is snapped to a grid node; the cell containing z is excluded and
     symmetric cell pairs (y, 2z - y) are summed together first, which
     cancels the odd part of the discretization error near the pole.
     """
-    from .domain import BoxDomain
-    from .geometry import CCGraphConfig, cached_distance_field, get_metric
-    if domain is None:
-        domain = BoxDomain((-2.0, -2.0), (2.0, 2.0), (81, 81))
+    domain = BoxDomain(*_FIT_BOX)
     if r1 <= r0:
         return 0.0
-    m = get_metric(_BASE_SYSTEM, domain, CCGraphConfig())
+    m = get_metric(_BASE_SYSTEM, domain)
     iz = np.array(domain.index_of(z))
     z = domain.point_at(int(np.ravel_multi_index(tuple(iz), domain.counts)))
     dist = cached_distance_field(m, z)
@@ -541,15 +528,14 @@ def base_shell_integral(i: int, j: int, z, r0: float, r1: float, A=None,
     return abs(total * domain.cell_volume)
 
 
-def shell_bound_fit(i: int, j: int, A=None, domain=None) -> float:
+def shell_bound_fit(i: int, j: int, A=None) -> float:
     """Fitted uniform bound on base-shell integrals over a (z, r0, r1) sweep."""
     zs = [(0.0, 0.0), (0.45, 0.3), (-0.3, 0.55), (0.6, -0.4)]
     shells = [(0.15, 0.3), (0.2, 0.6), (0.35, 0.7)]
     best = 0.0
     for z in zs:
         for r0, r1 in shells:
-            best = max(best, base_shell_integral(i, j, z, r0, r1, A,
-                                                 domain=domain))
+            best = max(best, base_shell_integral(i, j, z, r0, r1, A))
     return best
 
 
@@ -572,7 +558,6 @@ def smoothed_vs_singular(i: int, j: int, eps: float, R: float, A=None,
         rng = np.random.default_rng(17)
         pairs = [(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
                  for _ in range(40)]
-    from .domain import BoxDomain
     xs = [np.asarray(x, dtype=float) for x, _ in pairs]
     metric, dgrids = _metric_sample(xs, BoxDomain((-1.5, -1.5), (1.5, 1.5),
                                                  (61, 61)))
@@ -591,8 +576,8 @@ def smoothed_vs_singular(i: int, j: int, eps: float, R: float, A=None,
     return max(abs(ks - ke) / max(abs(ke), floor) for ks, ke in triples)
 
 
-def lifted_abs_integral(i: int, j: int, eps: float, R: float, A=None,
-                        n_log: int = 48) -> float:
+def lifted_abs_integral(i: int, j: int, eps: float, R: float,
+                        A=None) -> float:
     """int over R^3 of |Y_i Y_j Gamma . psi_{eps,R}|, by co-area shells.
 
     The shell integral of |kernel| at norm r is exactly c / r by
@@ -613,15 +598,14 @@ def lifted_abs_integral(i: int, j: int, eps: float, R: float, A=None,
     g1 = float(np.sum(w_surf * np.abs(
         c0 * np.asarray(fn(u[:, 0], u[:, 1], u[:, 2]), dtype=float))
         / grad_N))
-    xg, wg = np.polynomial.legendre.leggauss(n_log)
+    xg, wg = np.polynomial.legendre.leggauss(48)
     tmid = 0.5 * (math.log(r_hi) + math.log(r_lo))
     thalf = 0.5 * (math.log(r_hi) - math.log(r_lo))
     rs = np.exp(tmid + thalf * xg)
     return g1 * float(np.sum(thalf * wg * profile.radial_quartic(rs ** 4)))
 
 
-def log_growth_grid(i: int, j: int, x, eps_list=(0.02, 0.05, 0.1),
-                    R_list=(0.5, 1.0, 2.0), A=None) -> tuple:
+def log_growth_grid(i: int, j: int, x, A=None) -> tuple:
     """Fit the lifted integral = a + C log(R/eps) over the (eps, R) grid.
 
     Saturating the absolute value over the fiber dominates the base
@@ -630,8 +614,8 @@ def log_growth_grid(i: int, j: int, x, eps_list=(0.02, 0.05, 0.1),
     worst signed/abs ratio of the base integral, worst base/lifted ratio).
     """
     logs, lifted, ratio, base_over = [], [], 0.0, 0.0
-    for R in R_list:
-        for eps in eps_list:
+    for R in (0.5, 1.0, 2.0):
+        for eps in (0.02, 0.05, 0.1):
             k = TruncatedKernel(i, j, eps, R, A)
             s, a = kernel_signed_and_abs_integral(k, x)
             L = lifted_abs_integral(i, j, eps, R, A)
@@ -778,13 +762,14 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
 
 def lp_ratio_sweep(i: int, j: int, test_functions,
                    eps_list=(0.02, 0.05, 0.1), R_list=(0.5, 1.0, 2.0),
-                   p_list=(1.5, 2.0, 3.0), A=None, stride: int = 4) -> dict:
+                   A=None) -> dict:
     """max_f ||T f||_p / ||f||_p for each (eps, R, p) cell of the sweep.
 
     T f is sampled on a strided subgrid of each f's domain and the norms
     are Riemann sums there; the quadrature nodes are built once per
     (eps, R) and the p loop reuses the images.
     """
+    stride = 4
     out = {}
     for R in R_list:
         for eps in eps_list:
@@ -800,7 +785,7 @@ def lp_ratio_sweep(i: int, j: int, test_functions,
                 cell = float(np.prod(dom.spacing * stride))
                 fvals = f.values[np.ix_(*sub)].ravel()
                 images.append((fvals, Tf, cell))
-            for p in p_list:
+            for p in (1.5, 2.0, 3.0):
                 best = 0.0
                 for fvals, Tf, cell in images:
                     nf = float((np.sum(np.abs(fvals) ** p) * cell) ** (1 / p))
@@ -811,11 +796,8 @@ def lp_ratio_sweep(i: int, j: int, test_functions,
     return out
 
 
-def representation_ladder(i: int, j: int, A, u_expr: sp.Expr, xs,
-                          ladder=((0.4, 5.0), (0.2, 10.0), (0.1, 20.0)),
-                          levels: int = 6, cells: int = 64) -> list:
+def representation_ladder(i: int, j: int, A, u_expr: sp.Expr, xs) -> list:
     """Residuals of the second-derivative representation along eps down,
     R up; the sequence should decrease toward the quadrature floor."""
-    return [representation_residual(i, j, A, u_expr, xs, eps=eps, R=R,
-                                    levels=levels, cells=cells)
-            for eps, R in ladder]
+    return [representation_residual(i, j, A, u_expr, xs, eps=eps, R=R)
+            for eps, R in ((0.4, 5.0), (0.2, 10.0), (0.1, 20.0))]

@@ -25,10 +25,10 @@ import numpy as np
 import scipy.linalg
 import sympy as sp
 
-from .domain import BoxDomain
+from .domain import BoxDomain, GridFunction
 from .fields import (Poly, PolyVectorField, HormanderSystem, grushin,
                      example3, poly_to_sympy, word_apply_sympy)
-from .geometry import CCGraphConfig, CCMetric
+from .geometry import CCMetric, _touches_boundary, ball_volume, get_metric
 from .pool import _ordered_map
 
 
@@ -203,17 +203,17 @@ class LiftReport:
         return self.passed
 
 
-def verify_lift(lift: CarnotLift, samples: int = 40, seed: int = 7,
-                tol: float = 1e-9) -> LiftReport:
+def verify_lift(lift: CarnotLift) -> LiftReport:
     details: list = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     N = lift.N
 
     # group axioms at random points (polynomial identities, so random-point
     # checks at tight tolerance are decisive up to measure zero)
-    u = rng.uniform(-1.5, 1.5, (samples, N))
-    v = rng.uniform(-1.5, 1.5, (samples, N))
-    w = rng.uniform(-1.5, 1.5, (samples, N))
+    tol = 1e-9
+    u = rng.uniform(-1.5, 1.5, (40, N))
+    v = rng.uniform(-1.5, 1.5, (40, N))
+    w = rng.uniform(-1.5, 1.5, (40, N))
     e = np.zeros(N)
     ax = True
     if not np.allclose(lift.multiply(u, e), u, atol=tol):
@@ -331,20 +331,17 @@ class EquivalenceConstants:
 _EQUIV_CACHE: dict = {}
 
 
-def calibrate_equivalence(lift: CarnotLift, half_width: float = 1.3,
-                          points_per_axis: int = 41) -> EquivalenceConstants:
+def calibrate_equivalence(lift: CarnotLift) -> EquivalenceConstants:
     """Measure gamma1, gamma2 on hom-norm shells via the lifted CC metric.
 
     The measured distance is clipped to the box, which can only overestimate,
     so gamma2 is padded up and gamma1 down by the discretization error.
     """
-    key = (lift.name, half_width, points_per_axis)
-    if key in _EQUIV_CACHE:
-        return _EQUIV_CACHE[key]
+    if lift.name in _EQUIV_CACHE:
+        return _EQUIV_CACHE[lift.name]
     sys_ = control_system(lift)
-    dom = BoxDomain((-half_width,) * lift.N, (half_width,) * lift.N,
-                    (points_per_axis,) * lift.N)
-    metric = CCMetric(sys_, dom, CCGraphConfig())
+    dom = BoxDomain((-1.3,) * lift.N, (1.3,) * lift.N, (41,) * lift.N)
+    metric = CCMetric(sys_, dom)
     dist = metric.distance_field(np.zeros(lift.N))
     pts = dom.points()
     norms = lift.hom_norm(pts)
@@ -359,7 +356,7 @@ def calibrate_equivalence(lift: CarnotLift, half_width: float = 1.3,
     out = EquivalenceConstants(gamma1=g1, gamma2=g2,
                                samples=int(np.count_nonzero(keep)),
                                max_error_bound=pad)
-    _EQUIV_CACHE[key] = out
+    _EQUIV_CACHE[lift.name] = out
     return out
 
 
@@ -475,9 +472,9 @@ class HeisenbergGamma:
 
         return fn
 
-    def value(self, u, normalized: bool = True) -> np.ndarray:
+    def value(self, u) -> np.ndarray:
         """Gamma at points u (..., 3)."""
-        return self.word_value((), u, normalized)
+        return self.word_value((), u)
 
     def word_value(self, word, u, normalized: bool = True) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -555,6 +552,13 @@ def _graded_levels(half_widths, cells_per_axis, levels: int,
 # Base-grid nodes per block of a streamed cubature.  An integrand's
 # temporaries then hold 256 KB each, so a block's working set stays inside
 # a 2 MB L2 cache; whole levels (0.26-2 M nodes) do not.
+# The speed also rests on glibc's allocator: block temporaries are reused
+# from the heap only while its dynamic mmap and trim thresholds stand above
+# their size, which holds once a larger temporary has been freed (probably
+# the 2 MB hole masks of _graded_levels; not verified).  With the trim
+# threshold frozen at 128 KB (MALLOC_MMAP_THRESHOLD_=4194304 alone) the
+# heap is trimmed and refilled per block, and the one-worker normalization
+# cubature takes 2.8-3.4 s instead of 1.3-1.4 s (2-core Xeon VM).
 _BLOCK = 1 << 15
 
 
@@ -613,7 +617,7 @@ def _convolution_integrals(gamma_fn, Lu, xs) -> np.ndarray:
 
 
 def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
-                          xs: np.ndarray, normalized: bool = True) -> float:
+                          xs: np.ndarray) -> float:
     """Max relative error of u(x) = int Gamma(y^{-1} x) (L_A u)(y) dy.
 
     Substituting z = y^{-1} * x turns this into a convolution against a
@@ -626,7 +630,7 @@ def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     # compiled and calibrated here, before the cubature's workers start
     fn = gamma.word_fn(())
-    c0 = normalization_constant() if normalized else 1.0
+    c0 = normalization_constant()
     integrals = _convolution_integrals(lambda *z: fn(*z) * c0, Lu, xs)
     targets = np.array([float(u_fn(*x)) for x in xs])
     return float(np.max(np.abs(integrals - targets) / np.abs(targets)))
@@ -665,15 +669,15 @@ def normalization_constant() -> float:
     return c0
 
 
-def spd_sweep(count: int = 12, nu: float = 0.25, seed: int = 11) -> list:
-    """Deterministic SPD test matrices with eigenvalues in [nu, 1/nu]."""
-    rng = np.random.default_rng(seed)
+def spd_sweep(count: int = 12) -> list:
+    """Deterministic SPD test matrices with eigenvalues in [0.25, 4]."""
+    rng = np.random.default_rng(11)
     out = []
     for _ in range(count):
         theta = rng.uniform(0, np.pi)
         R = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
-        eigs = rng.uniform(nu, 1.0 / nu, 2)
+        eigs = rng.uniform(0.25, 4.0, 2)
         out.append(R @ np.diag(eigs) @ R.T)
     return out
 
@@ -773,8 +777,7 @@ def base_operator_expr(A: np.ndarray, expr: sp.Expr) -> sp.Expr:
     return _operator_expr(grushin(1), A, expr, _B_SYMS)
 
 
-def base_reproduction_residual(A, bump_expr: sp.Expr, xs,
-                               L: float = 6.0, h: float = 0.15) -> float:
+def base_reproduction_residual(A, bump_expr: sp.Expr, xs) -> float:
     """Max relative error of u(x) = int Gamma_A(x; y) (L_A u)(y) dy on R^2."""
     Amat = np.eye(2) if A is None else np.asarray(A, dtype=float)
     G = GrushinGamma(A)
@@ -783,8 +786,7 @@ def base_reproduction_residual(A, bump_expr: sp.Expr, xs,
     u_fn = sp.lambdify(_B_SYMS, bump_expr, "numpy")
     worst = 0.0
     for x in np.atleast_2d(np.asarray(xs, dtype=float)):
-        ys, wts = graded_nodes_aniso(x, (L, L), int(round(2 * L / h)), 2,
-                                     (4.0, 4.0))
+        ys, wts = graded_nodes_aniso(x, (6.0, 6.0), 80, 2, (4.0, 4.0))
         vals = G.value(x, ys)
         integral = float(np.sum(wts * vals * Lu(ys[:, 0], ys[:, 1])))
         target = float(u_fn(*x))
@@ -817,10 +819,7 @@ class FiberConstants:
 _FIBER_CACHE: dict = {}
 
 
-def calibrate_fiber_constants(lift: CarnotLift, half_width: float = 1.7,
-                              points_per_axis: int = 41,
-                              radii: tuple = (0.35, 0.45, 0.55),
-                              floor: float = 0.05) -> FiberConstants:
+def calibrate_fiber_constants(lift: CarnotLift) -> FiberConstants:
     """Measure the slice constants of the lifted metric on a box grid.
 
     The base distance is recovered from the lifted one as
@@ -828,14 +827,12 @@ def calibrate_fiber_constants(lift: CarnotLift, half_width: float = 1.7,
     horizontal path to the base is admissible with the same controls, and
     any base path lifts at equal cost, so the two infima coincide.
     """
-    key = (lift.name, half_width, points_per_axis, radii, floor)
-    if key in _FIBER_CACHE:
-        return _FIBER_CACHE[key]
-    from .geometry import _touches_boundary
+    if lift.name in _FIBER_CACHE:
+        return _FIBER_CACHE[lift.name]
     n, N = lift.base.n, lift.N
-    dom = BoxDomain((-half_width,) * N, (half_width,) * N,
-                    (points_per_axis,) * N)
-    metric = CCMetric(control_system(lift), dom, CCGraphConfig())
+    radii, floor = (0.35, 0.45, 0.55), 0.05
+    dom = BoxDomain((-1.7,) * N, (1.7,) * N, (41,) * N)
+    metric = CCMetric(control_system(lift), dom)
     dgrid = metric.distance_field(np.zeros(N)).reshape(dom.counts)
     fiber_axes = tuple(range(n, N))
     h = dom.spacing
@@ -864,8 +861,8 @@ def calibrate_fiber_constants(lift: CarnotLift, half_width: float = 1.7,
     if kappa == 0.0:
         raise RuntimeError("no kappa in the ladder clears the slice floor")
     out = FiberConstants(kappa=kappa, c_lower=c_lower, c_upper=c_upper,
-                         radii=tuple(radii), floor=floor)
-    _FIBER_CACHE[key] = out
+                         radii=radii, floor=floor)
+    _FIBER_CACHE[lift.name] = out
     return out
 
 
@@ -887,7 +884,7 @@ class CutoffFamily:
     center: np.ndarray
     R: float
     H: float
-    values: "GridFunction"
+    values: GridFunction
     derivatives: dict
     ball_volume: float
 
@@ -925,9 +922,8 @@ def _cutoff_words_fn(lift: CarnotLift):
     return hit
 
 
-def cutoff_family(lift: CarnotLift, x, R: float, domain: BoxDomain,
-                  eta_nodes: int = 161,
-                  cfg: CCGraphConfig = CCGraphConfig()) -> CutoffFamily:
+def cutoff_family(lift: CarnotLift, x, R: float,
+                  domain: BoxDomain) -> CutoffFamily:
     """Cutoff phi^x(y) = c0^{-1} * integral of psi((x,0)^{-1} o (y,eta)).
 
     psi is radial in the smooth homogeneous norm: identically 1 for
@@ -940,8 +936,6 @@ def cutoff_family(lift: CarnotLift, x, R: float, domain: BoxDomain,
     the lifted fields makes the size and X-derivative bounds independent
     of the center.
     """
-    from .domain import GridFunction
-    from .geometry import ball_volume, get_metric
     x = np.asarray(x, dtype=float)
     eq = calibrate_equivalence(lift)
     fib = calibrate_fiber_constants(lift)
@@ -950,16 +944,16 @@ def cutoff_family(lift: CarnotLift, x, R: float, domain: BoxDomain,
     H = 2.0 * eq.gamma2 / (eq.gamma1 * fib.kappa)
     words, words_fn = _cutoff_words_fn(lift)
 
-    metric = get_metric(lift.base, domain, cfg)
+    metric = get_metric(lift.base, domain)
     volB = ball_volume(lift.base, x, R, domain, metric=metric)
 
     pts = domain.points()                          # (npts, n)
-    eta = np.linspace(-1.05 * t2, 1.05 * t2, eta_nodes)
+    eta = np.linspace(-1.05 * t2, 1.05 * t2, 161)
     inv_x = lift.inverse(np.concatenate([x, np.zeros(lift.p)]))
     yeta = np.concatenate(
-        [np.broadcast_to(pts[:, None, :], (pts.shape[0], eta_nodes,
+        [np.broadcast_to(pts[:, None, :], (pts.shape[0], eta.size,
                                            lift.base.n)),
-         np.broadcast_to(eta[None, :, None], (pts.shape[0], eta_nodes,
+         np.broadcast_to(eta[None, :, None], (pts.shape[0], eta.size,
                                               lift.p))], axis=-1)
     u = lift.multiply(inv_x, yeta)                 # (npts, K, N)
     ucomp = [u[..., k] for k in range(lift.N)]

@@ -17,7 +17,7 @@ from scipy import sparse
 
 from .domain import BoxDomain, GridFunction, MarginError
 from .fields import HormanderSystem
-from .geometry import CCGraphConfig, get_metric
+from .geometry import get_metric
 from .pool import _ordered_map
 
 
@@ -109,22 +109,21 @@ def _row_reduce(ufunc, vals: np.ndarray, indptr: np.ndarray,
 
 
 def build_ball_family(system: HormanderSystem, domain: BoxDomain,
-                      r0: float, num_radii: int = 3, stride: int = 4,
-                      cfg: CCGraphConfig = CCGraphConfig(),
-                      chunk: int = 48) -> BallFamily:
+                      r0: float, num_radii: int = 3,
+                      stride: int = 4) -> BallFamily:
     """Distance fields from every stride-th grid node, computed in chunks.
 
-    The chunks of ``chunk`` consecutive centers run on the ordered thread
-    map.  A chunk's value iteration stops at the sweep where its slowest
-    field settles, so chunk membership fixes the stop sweep of each field:
-    the fields do not depend on the number of workers, but a different
-    ``chunk`` changes them at rounding level.
+    The chunks of 48 consecutive centers run on the ordered thread map.  A
+    chunk's value iteration stops at the sweep where its slowest field
+    settles, so chunk membership fixes the stop sweep of each field: the
+    fields do not depend on the number of workers, but a different chunk
+    size changes them at rounding level.
 
     Raises CoverageGapError unless every grid point lies in at least one
     family ball at the smallest radius (possibly a clipped one: coverage is
     a geometric property of the center net, clipping a per-use filter).
     """
-    metric = get_metric(system, domain, cfg)
+    metric = get_metric(system, domain)
     idx_axes = [np.arange(0, c, stride) for c in domain.counts]
     # Always include the last node per axis so the net reaches the boundary.
     idx_axes = [np.unique(np.append(a, c - 1))
@@ -132,6 +131,7 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
     mesh = np.meshgrid(*idx_axes, indexing="ij")
     flat = np.ravel_multi_index(tuple(m.ravel() for m in mesh), domain.counts)
     centers = np.array([domain.point_at(i) for i in flat])
+    chunk = 48
     if min(chunk, len(centers)) > 1:
         metric._corner_order_moves()     # built once, before the threads
     dist = np.empty((centers.shape[0], domain.num_points))

@@ -103,4 +103,4 @@ def fib1(lift1):
 def suite41(dom41, xs2):
     """Ten bump/oscillatory grid functions on the 41^2 grid."""
     return [estimates.grid_from_expr(dom41, e, xs2)
-            for e in estimates.test_function_suite(xs2, 10)]
+            for e in estimates.test_function_suite(xs2)]

@@ -135,7 +135,7 @@ def test_04_lift_validation(lift1):
     res_id = liftgroup.reproduction_residual(
         liftgroup.HeisenbergGamma(), bump, xs)
     worst = 0.0
-    for A in liftgroup.spd_sweep(12, nu=0.25):
+    for A in liftgroup.spd_sweep(12):
         worst = max(worst, liftgroup.reproduction_residual(
             liftgroup.HeisenbergGamma(A), bump, xs))
     _gate(4, "lift validation and reproduction",
@@ -333,7 +333,7 @@ def test_09_oscillation_estimates(g1, dom41, family41, xs2):
     samples = maximal.sample_balls(family41, family41.radii[0], 2.0, trust)
     cs = []
     n_records = 0
-    for A in [np.eye(2)] + liftgroup.spd_sweep(12, nu=0.25):
+    for A in [np.eye(2)] + liftgroup.spd_sweep(12):
         vals = sum(A[i, j] * second[(i, j)].values
                    for i in range(2) for j in range(2))
         LAu = GridFunction(dom41, vals,

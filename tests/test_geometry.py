@@ -1,8 +1,13 @@
 """Discrete CC metric: distances, homogeneity, volumes, covers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import subelliptic
 from subelliptic import geometry
 from subelliptic.domain import BoxDomain
 from subelliptic.geometry import (ClippedBallError, ball_volume, cc_distance,
@@ -117,14 +122,13 @@ def _moves_per_corner(metric):
     lower, h = np.array(dom.lower), dom.spacing
     counts = np.array(dom.counts)
     offsets = list(itertools.product((0, 1), repeat=dom.dim))
-    levels = np.linspace(-1.0, 1.0, metric.cfg.controls_per_field)
+    levels = np.linspace(-1.0, 1.0, 5)
     moves = []
     for combo in itertools.product(levels, repeat=metric.system.m):
         a = np.array(combo)
         if np.max(np.abs(a)) == 0.0:
             continue
-        end = geometry._rk4_flow(metric.system, a, pts, metric.tau,
-                                 metric.cfg.substeps)
+        end = geometry._rk4_flow(metric.system, a, pts, metric.tau)
         rel = (end - lower) / h
         base = np.floor(rel).astype(int)
         frac = rel - base
@@ -257,3 +261,15 @@ def test_unconverged_value_iteration_raises(g1):
     with pytest.raises(geometry.UnresolvedDistanceError,
                        match="fixed point"):
         m.distance_fields([(0.0, 0.0), (0.5, -0.5), (-0.8, 0.8)])
+
+
+def test_geometry_and_maximal_load_no_sympy():
+    # the metric and ball-family path imports no sympy; a fresh interpreter
+    # sees what an import alone loads
+    src = os.path.dirname(os.path.dirname(subelliptic.__file__))
+    code = ("import sys, subelliptic.geometry, subelliptic.maximal; "
+            "print(sorted(m for m in sys.modules if m.startswith('sympy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"

@@ -189,7 +189,7 @@ def _graded_nodes_direct(center, half_widths, cells_per_axis, levels,
 @pytest.mark.parametrize("args", [
     ((0.2, 0.1), (1.3, 1.7), 48, 5, (4.0, 16.0)),
     ((0.0, 0.0, 0.0), (1.1, 1.3, 1.1), (16, 32, 16), 4, (4.0, 16.0, 4.0)),
-    # base_reproduction_residual's cubature at its defaults L = 6, h = 0.15
+    # base_reproduction_residual's cubature (half-width 6, 80 cells)
     ((0.3, -0.2), (6.0, 6.0), 80, 2, (4.0, 4.0))])
 def test_graded_levels_are_exact_dilates(args):
     # power-of-two shrinks make every level an exact dilate of the base grid

@@ -56,6 +56,10 @@ def test_inverse_is_involution(lift1, u, v):
 def test_equivalence_constants(eq1):
     assert 0 < eq1.gamma1 < eq1.gamma2
     assert eq1.samples > 1000
+    # bitwise outputs of value iteration on the 41^3 field
+    assert eq1.gamma1 == 0.44628798639216904
+    assert eq1.gamma2 == 3.678746180267586
+    assert eq1.samples == 6442
 
 
 def test_sqrt_spd():
@@ -234,6 +238,10 @@ def test_fiber_constants(fib1):
     assert 0 < fib1.kappa <= 1.0
     assert 0 < fib1.c_lower <= fib1.c_upper
     assert fib1.c_lower >= fib1.floor
+    # bitwise outputs of value iteration on the 41^3 field
+    assert fib1.kappa == 0.95
+    assert fib1.c_lower == 0.1287128712871287
+    assert fib1.c_upper == 1.9836065573770494
 
 
 def test_base_gamma_symmetry():
