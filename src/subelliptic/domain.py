@@ -78,9 +78,6 @@ class BoxDomain:
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def mesh(self) -> list:
-        return np.meshgrid(*self.axes(), indexing="ij")
-
     def index_of(self, x) -> tuple:
         """Multi-index of the grid node nearest to x."""
         x = np.asarray(x, dtype=float)

@@ -181,10 +181,6 @@ class DilationFamily:
         return sum(int(e) * s for e, s in zip(exps, self.exponents))
 
 
-def homogeneous_dimension(d: DilationFamily) -> int:
-    return d.homogeneous_dimension
-
-
 class PolyVectorField:
     """Vector field sum_k c_k(x) d/dx_k with sparse polynomial coefficients."""
 

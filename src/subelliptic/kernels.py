@@ -14,6 +14,7 @@ module also measures the two structural facts the estimates depend on:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,11 +25,10 @@ from .domain import BoxDomain
 from .fields import grushin, word_apply_sympy
 from .geometry import _touches_boundary, cached_distance_field, get_metric
 from .liftgroup import (CarnotLift, GrushinGamma, HeisenbergGamma, _B_SYMS,
-                        _H_SYMS, _block_sum, _graded_levels, _smoothstep_expr,
-                        base_operator_expr, calibrate_equivalence,
-                        graded_nodes_aniso, normalization_constant)
-
-_SQRT_EPS = 1e-300
+                        _H_SYMS, _graded_levels, _lifted_sums,
+                        _smoothstep_expr, base_operator_expr,
+                        calibrate_equivalence, graded_nodes_aniso,
+                        normalization_constant)
 
 # the one base system, so get_metric's per-system cache (metric and
 # distance fields) is shared by every call in this module
@@ -204,23 +204,18 @@ def _radial_stretch(omega: np.ndarray, r: float) -> np.ndarray:
     r4 = r ** 4
     with np.errstate(divide="ignore", invalid="ignore"):
         t2 = np.where(a > 1e-14,
-                      (-b + np.sqrt(b ** 2 + 4 * a * r4)) / (2 * a + _SQRT_EPS),
+                      (-b + np.sqrt(b ** 2 + 4 * a * r4)) / (2 * a),
                       r4 / np.maximum(b, 1e-14))
     return np.sqrt(t2)
 
 
-_SURFACE_CACHE: dict = {}
-
-
+@functools.cache
 def surface_nodes(r: float) -> tuple:
     """Nodes u, Euclidean surface weights, unit normals, |grad N| on {N=r}.
 
     For a star-shaped surface u = t(omega) omega the Euclidean surface
     measure satisfies dS (nu . omega_hat) = t^2 dOmega.
     """
-    key = round(r, 14)
-    if key in _SURFACE_CACHE:
-        return _SURFACE_CACHE[key]
     omega, w = _sphere_directions()
     t = _radial_stretch(omega, r)
     u = t[:, None] * omega
@@ -231,9 +226,7 @@ def surface_nodes(r: float) -> tuple:
     cosang = np.einsum("ij,ij->i", nu, omega)
     w_surf = w * t ** 2 / cosang
     grad_N = grad_norm / (4.0 * r ** 3)
-    out = (u, w_surf, nu, grad_N)
-    _SURFACE_CACHE[key] = out
-    return out
+    return u, w_surf, nu, grad_N
 
 
 def surface_integral(fn, r: float) -> float:
@@ -248,14 +241,10 @@ def flux_constant(i: int, j: int, A=None, r: float = 1.0) -> float:
     cutoff-independence check.
     """
     tilde = HeisenbergGamma(A)
-    lift = tilde.lift
-    fn_j = tilde.word_fn((j,))
-    c0 = normalization_constant()
 
     def integrand(u, nu):
-        f = c0 * np.asarray(fn_j(u[:, 0], u[:, 1], u[:, 2]), dtype=float)
-        Yi = lift.fields[i].value(u)
-        return f * np.einsum("ij,ij->i", Yi, nu)
+        Yi = tilde.lift.fields[i].value(u)
+        return tilde.word_value((j,), u) * np.einsum("ij,ij->i", Yi, nu)
 
     return surface_integral(integrand, r)
 
@@ -308,11 +297,9 @@ def cancellation_metric(i: int, j: int, A=None, r0: float = 0.5,
                         r1: float = 1.0) -> float:
     """|shell mean| / shell mean of |.| for the kernel Y_i Y_j Gamma."""
     tilde = HeisenbergGamma(A)
-    fn = tilde.word_fn((i, j))
-    c0 = normalization_constant()
 
     def signed(u):
-        return c0 * np.asarray(fn(u[:, 0], u[:, 1], u[:, 2]), dtype=float)
+        return tilde.word_value((i, j), u)
 
     def absval(u):
         return np.abs(signed(u))
@@ -335,12 +322,13 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     (y, eta) = (x, 0) * v^{-1} turns T(Lu)(x) into an integral of the fixed
     singular kernel (Y_i Y_j Gamma . psi)(v) against Lu(pi((x,0) v^{-1})),
     so the anisotropic grading can be centered once at v = 0.  The
-    cubature runs in fixed blocks of its base grid (``_block_sum``): a block
-    evaluates K.w once (``_kernel_levels``, reused on every level by
+    cubature runs in fixed blocks of its base grid (``_lifted_sums``): a
+    block evaluates K.w once (``_kernel_levels``, reused on every level by
     homogeneity), and per level only the lifted points and Lu there
-    change.  L_A u is compiled with symbolic coefficients, so the
-    symbolic work depends on u alone and A enters numerically.  Both
-    integrands are compiled with common-subexpression elimination.
+    change; each base point x enters as (x, 0).  L_A u is compiled with
+    symbolic coefficients, so the symbolic work depends on u alone and A
+    enters numerically.  Both integrands are compiled with
+    common-subexpression elimination.
 
     Raises ValueError when X_i X_j u vanishes at every point of xs, where
     the relative residual is undefined.
@@ -362,18 +350,9 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
     grid = _graded_kernel(kernel, levels, cells)
-
-    def block(sl):
-        part = np.zeros(len(xs))
-        for v1, v2, v3, kw in _kernel_levels(kernel, grid, sl):
-            v13 = v1 * v3
-            for n, (x1, x2) in enumerate(xs):
-                # (x1, x2, 0) * v^{-1} from the group law
-                part[n] += np.sum(kw * F_fn(x1 - v1, x2 - v2 + v13 - x1 * v3,
-                                            *a_vals))
-        return part
-
-    Tv = _block_sum(block, len(grid[0]))
+    Tv = _lifted_sums(functools.partial(_kernel_levels, kernel, grid),
+                      lambda y1, y2, _: F_fn(y1, y2, *a_vals),
+                      np.column_stack([xs, np.zeros(len(xs))]), len(grid[0]))
     preds = Tv + cij * np.array([float(F_fn(*x, *a_vals)) for x in xs])
     return float(np.max(np.abs(preds - targets)) / scale)
 
@@ -585,8 +564,6 @@ def lifted_abs_integral(i: int, j: int, eps: float, R: float,
     integrand is the smooth cutoff profile times a constant.
     """
     tilde = HeisenbergGamma(A)
-    fn = tilde.word_fn((i, j))
-    c0 = normalization_constant()
     profile = CutoffProfile(eps, R, calibrate_equivalence(tilde.lift).gamma2)
     r_lo = eps / (2.0 * profile.gamma2)
     r_hi = profile.support_radius
@@ -595,9 +572,7 @@ def lifted_abs_integral(i: int, j: int, eps: float, R: float,
     # the star-shaped surface rule is accurate, then integrate the radial
     # profile in log r.
     u, w_surf, _, grad_N = surface_nodes(1.0)
-    g1 = float(np.sum(w_surf * np.abs(
-        c0 * np.asarray(fn(u[:, 0], u[:, 1], u[:, 2]), dtype=float))
-        / grad_N))
+    g1 = float(np.sum(w_surf * np.abs(tilde.word_value((i, j), u)) / grad_N))
     xg, wg = np.polynomial.legendre.leggauss(48)
     tmid = 0.5 * (math.log(r_hi) + math.log(r_lo))
     thalf = 0.5 * (math.log(r_hi) - math.log(r_lo))

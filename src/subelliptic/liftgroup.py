@@ -17,6 +17,7 @@ compatibility, projection onto the base fields) is checked by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .geometry import CCMetric, _touches_boundary, ball_volume, get_metric
 from .pool import _ordered_map
 
 
-@dataclass
+@dataclass(eq=False)
 class CarnotLift:
     """Group structure on R^N lifting a homogeneous system on R^n.
 
@@ -41,6 +42,9 @@ class CarnotLift:
     fields: lifted vector fields on R^N, one per base generator.
     weights: dilation exponent of each lifted coordinate (base coordinates
     first, fiber coordinates after; not necessarily sorted).
+
+    Lifts hash by identity, so the calibrations below are memoized per
+    lift object; each catalog lift is one object per process.
     """
 
     name: str
@@ -106,6 +110,7 @@ class CarnotLift:
 # catalog
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def lift_grushin1() -> CarnotLift:
     """Polarized Heisenberg lift of X1 = d1, X2 = x1 d2.
 
@@ -132,6 +137,7 @@ def lift_grushin1() -> CarnotLift:
                       law=law, inverse_map=inv)
 
 
+@functools.cache
 def lift_example3() -> CarnotLift:
     """Engel-type lift of X1 = d1, X2 = x1 d2 + x1^2 d3.
 
@@ -328,17 +334,13 @@ class EquivalenceConstants:
     max_error_bound: float
 
 
-_EQUIV_CACHE: dict = {}
-
-
+@functools.cache
 def calibrate_equivalence(lift: CarnotLift) -> EquivalenceConstants:
     """Measure gamma1, gamma2 on hom-norm shells via the lifted CC metric.
 
     The measured distance is clipped to the box, which can only overestimate,
     so gamma2 is padded up and gamma1 down by the discretization error.
     """
-    if lift.name in _EQUIV_CACHE:
-        return _EQUIV_CACHE[lift.name]
     sys_ = control_system(lift)
     dom = BoxDomain((-1.3,) * lift.N, (1.3,) * lift.N, (41,) * lift.N)
     metric = CCMetric(sys_, dom)
@@ -353,11 +355,9 @@ def calibrate_equivalence(lift: CarnotLift) -> EquivalenceConstants:
     g2 = float(np.max(ratios) + pad / np.min(norms[keep]))
     if g1 <= 0:
         raise RuntimeError("equivalence calibration degenerate: gamma1 <= 0")
-    out = EquivalenceConstants(gamma1=g1, gamma2=g2,
-                               samples=int(np.count_nonzero(keep)),
-                               max_error_bound=pad)
-    _EQUIV_CACHE[lift.name] = out
-    return out
+    return EquivalenceConstants(gamma1=g1, gamma2=g2,
+                                samples=int(np.count_nonzero(keep)),
+                                max_error_bound=pad)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +388,7 @@ def _gamma_unit_expr(x1, x2, x3) -> sp.Expr:
     return rho4 ** sp.Rational(-1, 2)
 
 
-_IDENTITY_WORDS: dict = {}
-
-
+@functools.cache
 def _identity_words_fn(length: int):
     """All Y-words of one length of the unnormalized Gamma_I, jointly.
 
@@ -403,18 +401,14 @@ def _identity_words_fn(length: int):
     common-subexpression elimination and the shared powers of rho4 are
     computed once per call.  Compiled once per length and process.
     """
-    fn = _IDENTITY_WORDS.get(length)
-    if fn is None:
-        x1, x2, x3 = _H_SYMS
-        t = sp.Symbol("t", real=True)
-        lift = lift_grushin1()
-        gamma = _gamma_unit_expr(*_H_SYMS)
-        exprs = [word_apply_sympy(lift, word, gamma, _H_SYMS)
-                 .subs(x2, t + x1 * x3 / 2)
-                 for word in itertools.product(range(2), repeat=length)]
-        fn = sp.lambdify((x1, t, x3), exprs, modules="numpy", cse=True)
-        _IDENTITY_WORDS[length] = fn
-    return fn
+    x1, x2, x3 = _H_SYMS
+    t = sp.Symbol("t", real=True)
+    lift = lift_grushin1()
+    gamma = _gamma_unit_expr(*_H_SYMS)
+    exprs = [word_apply_sympy(lift, word, gamma, _H_SYMS)
+             .subs(x2, t + x1 * x3 / 2)
+             for word in itertools.product(range(2), repeat=length)]
+    return sp.lambdify((x1, t, x3), exprs, modules="numpy", cse=True)
 
 
 class HeisenbergGamma:
@@ -485,13 +479,9 @@ class HeisenbergGamma:
         return out
 
 
-def _gaussian_bump(widths, center=None):
-    """Gaussian test function and its lifted-sublaplacian image (A = I)."""
-    x1, x2, x3 = _H_SYMS
-    c = (0.0, 0.0, 0.0) if center is None else center
-    expr = sp.exp(-sum(((s - ci) / wi) ** 2
-                       for s, ci, wi in zip(_H_SYMS, c, widths)))
-    return expr
+def _gaussian_bump(widths) -> sp.Expr:
+    """Centered Gaussian test function on the lift."""
+    return sp.exp(-sum((s / wi) ** 2 for s, wi in zip(_H_SYMS, widths)))
 
 
 def _operator_expr(system, A, expr: sp.Expr, syms) -> sp.Expr:
@@ -505,6 +495,13 @@ def _operator_expr(system, A, expr: sp.Expr, syms) -> sp.Expr:
             if A[i, j] != 0:
                 out += A[i, j] * word_apply_sympy(system, (i, j), expr, syms)
     return out
+
+
+def _compiled_bump(system, A, expr: sp.Expr, syms) -> tuple:
+    """(L_A u, u) as numpy functions of syms, with u = expr."""
+    return (sp.lambdify(syms, _operator_expr(system, A, expr, syms),
+                        modules="numpy", cse=True),
+            sp.lambdify(syms, expr, modules="numpy"))
 
 
 def _graded_levels(half_widths, cells_per_axis, levels: int,
@@ -562,14 +559,26 @@ def _graded_levels(half_widths, cells_per_axis, levels: int,
 _BLOCK = 1 << 15
 
 
-def _block_sum(block_fn, n: int):
-    """Sum of block_fn(sl) over the ``_BLOCK``-node slices sl of range(n).
+def _lifted_sums(levels, F, xs, n: int) -> np.ndarray:
+    """sum over nodes z of (K w)(z) F(x z^{-1}) at each x of xs.
 
-    The blocks are fixed and their partial sums are added in block order,
+    levels(sl) yields (z1, z2, z3, K w) level by level for the nodes over
+    the base-grid slice sl of range(n); x z^{-1} on the grushin(1) lift is
+    written out from the group law.  The ``_BLOCK``-node slices run on the
+    ordered thread map and their partial sums are added in block order,
     so the result does not depend on the number of workers.
     """
-    parts = _ordered_map(block_fn, [slice(a, a + _BLOCK)
-                                    for a in range(0, n, _BLOCK)])
+    def block(sl):
+        part = np.zeros(len(xs))
+        for z1, z2, z3, kw in levels(sl):
+            z13 = z1 * z3
+            for k, x in enumerate(xs):
+                part[k] += np.sum(kw * F(x[0] - z1, x[1] - z2 + z13
+                                         - x[0] * z3, x[2] - z3))
+        return part
+
+    parts = _ordered_map(block, [slice(a, a + _BLOCK)
+                                 for a in range(0, n, _BLOCK)])
     return sum(parts[1:], parts[0])
 
 
@@ -595,25 +604,19 @@ def _convolution_integrals(gamma_fn, Lu, xs) -> np.ndarray:
     calibration cubature (half-width 8, 128 cells per axis, three levels
     of shrink 4; the innermost central cell is dropped, its contribution is
     O(cell^2) for a kernel of degree -2) is streamed in blocks of the base
-    grid (``_block_sum``): a block takes its nodes of every level in turn,
-    so no level is held whole.  x z^{-1} is written out from the group law.
+    grid (``_lifted_sums``): a block takes its nodes of every level in
+    turn, so no level is held whole.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     v0, w0, per_level = _graded_levels((8.0,) * 3, 128, 3, (4.0,) * 3)
 
-    def block(sl):
+    def levels(sl):
         cols = [np.ascontiguousarray(v0[sl, k]) for k in range(3)]
-        part = np.zeros(len(xs))
         for scale, keep in per_level:
             z1, z2, z3 = (c[keep[sl]] * s for c, s in zip(cols, scale))
-            wG = w0 * float(np.prod(scale)) * gamma_fn(z1, z2, z3)
-            z13 = z1 * z3
-            for n, x in enumerate(xs):
-                part[n] += np.sum(wG * Lu(x[0] - z1, x[1] - z2 + z13
-                                          - x[0] * z3, x[2] - z3))
-        return part
+            yield z1, z2, z3, w0 * float(np.prod(scale)) * gamma_fn(z1, z2, z3)
 
-    return _block_sum(block, len(v0))
+    return _lifted_sums(levels, Lu, np.atleast_2d(np.asarray(xs, dtype=float)),
+                        len(v0))
 
 
 def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
@@ -623,10 +626,7 @@ def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
     Substituting z = y^{-1} * x turns this into a convolution against a
     fixed singular kernel; the quadrature is graded around z = 0.
     """
-    Lu = sp.lambdify(_H_SYMS, _operator_expr(gamma.lift, gamma.A, bump_expr,
-                                             _H_SYMS), modules="numpy",
-                     cse=True)
-    u_fn = sp.lambdify(_H_SYMS, bump_expr, modules="numpy")
+    Lu, u_fn = _compiled_bump(gamma.lift, gamma.A, bump_expr, _H_SYMS)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     # compiled and calibrated here, before the cubature's workers start
     fn = gamma.word_fn(())
@@ -636,9 +636,7 @@ def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
     return float(np.max(np.abs(integrals - targets) / np.abs(targets)))
 
 
-_C0: list = []
-
-
+@functools.cache
 def normalization_constant() -> float:
     """Overall constant of the fundamental solution family.
 
@@ -648,14 +646,9 @@ def normalization_constant() -> float:
     cached for the process lifetime; the cubature is streamed in blocks
     (``_convolution_integrals``).
     """
-    if _C0:
-        return _C0[0]
     gamma = HeisenbergGamma()
-    bump = _gaussian_bump((1.0, 1.5, 1.0))
-    Lu = sp.lambdify(_H_SYMS, _operator_expr(gamma.lift, np.eye(2), bump,
-                                             _H_SYMS), modules="numpy",
-                     cse=True)
-    u_fn = sp.lambdify(_H_SYMS, bump, modules="numpy")
+    Lu, u_fn = _compiled_bump(gamma.lift, np.eye(2),
+                              _gaussian_bump((1.0, 1.5, 1.0)), _H_SYMS)
     xs = np.array([[0.0, 0.0, 0.0], [0.4, 0.1, -0.2], [-0.3, 0.25, 0.35],
                    [0.15, -0.3, 0.1]])
     integrals = _convolution_integrals(gamma.word_fn(()), Lu, xs)
@@ -665,7 +658,6 @@ def normalization_constant() -> float:
     if spread > 5e-3:
         raise RuntimeError(
             f"normalization calibration inconsistent: spread {spread:.2e}")
-    _C0.append(c0)
     return c0
 
 
@@ -686,15 +678,13 @@ def spd_sweep(count: int = 12) -> list:
 # saturation: integrating out the fiber
 # ---------------------------------------------------------------------------
 
-_GRUSHIN_WORDS: dict = {}
-
-
 def _hyp2f1(ab, c, z):
     """sympy's hyper((a, b), (c,), z) for lambdify."""
     import scipy.special
     return scipy.special.hyp2f1(*ab, *c, z)
 
 
+@functools.cache
 def _grushin_word_fn(word: tuple):
     """X-word, in q, of the unnormalized Gamma_A(p; q), as a numpy function.
 
@@ -714,25 +704,21 @@ def _grushin_word_fn(word: tuple):
     (p1, p2, q1, q2, B11, B12, B22, e); the matrix enters numerically, so
     each word is compiled once per process.
     """
-    fn = _GRUSHIN_WORDS.get(word)
-    if fn is None:
-        p1, p2 = sp.symbols("p1 p2", real=True)
-        q1, q2 = _B_SYMS
-        b11, b12, b22, e = sp.symbols("B11 B12 B22 e", real=True)
-        a = q1 - p1
-        mu = 2 * (p1 + q1) / e
-        re_d = 4 * (b12 ** 2 - b11 * b22) * a ** 2 - mu ** 2
-        im_d = -4 * b12 * a * mu - 16 * b22 * (q2 - p2) / e
-        abs_d = sp.sqrt(re_d ** 2 + im_d ** 2)
-        k2 = (abs_d + re_d + 2 * mu ** 2) / (2 * abs_d)
-        half = sp.Rational(1, 2)
-        gamma = (2 * sp.pi * sp.hyper((half, half), (1,), k2)
-                 / (e ** 2 * sp.sqrt(abs_d)))
-        fn = sp.lambdify((p1, p2, q1, q2, b11, b12, b22, e),
-                         word_apply_sympy(grushin(1), word, gamma, _B_SYMS),
-                         modules=[{"hyper": _hyp2f1}, "numpy"], cse=True)
-        _GRUSHIN_WORDS[word] = fn
-    return fn
+    p1, p2 = sp.symbols("p1 p2", real=True)
+    q1, q2 = _B_SYMS
+    b11, b12, b22, e = sp.symbols("B11 B12 B22 e", real=True)
+    a = q1 - p1
+    mu = 2 * (p1 + q1) / e
+    re_d = 4 * (b12 ** 2 - b11 * b22) * a ** 2 - mu ** 2
+    im_d = -4 * b12 * a * mu - 16 * b22 * (q2 - p2) / e
+    abs_d = sp.sqrt(re_d ** 2 + im_d ** 2)
+    k2 = (abs_d + re_d + 2 * mu ** 2) / (2 * abs_d)
+    half = sp.Rational(1, 2)
+    gamma = (2 * sp.pi * sp.hyper((half, half), (1,), k2)
+             / (e ** 2 * sp.sqrt(abs_d)))
+    return sp.lambdify((p1, p2, q1, q2, b11, b12, b22, e),
+                       word_apply_sympy(grushin(1), word, gamma, _B_SYMS),
+                       modules=[{"hyper": _hyp2f1}, "numpy"], cse=True)
 
 
 class GrushinGamma:
@@ -781,9 +767,7 @@ def base_reproduction_residual(A, bump_expr: sp.Expr, xs) -> float:
     """Max relative error of u(x) = int Gamma_A(x; y) (L_A u)(y) dy on R^2."""
     Amat = np.eye(2) if A is None else np.asarray(A, dtype=float)
     G = GrushinGamma(A)
-    Lu = sp.lambdify(_B_SYMS, base_operator_expr(Amat, bump_expr), "numpy",
-                     cse=True)
-    u_fn = sp.lambdify(_B_SYMS, bump_expr, "numpy")
+    Lu, u_fn = _compiled_bump(grushin(1), Amat, bump_expr, _B_SYMS)
     worst = 0.0
     for x in np.atleast_2d(np.asarray(xs, dtype=float)):
         ys, wts = graded_nodes_aniso(x, (6.0, 6.0), 80, 2, (4.0, 4.0))
@@ -816,9 +800,7 @@ class FiberConstants:
     floor: float
 
 
-_FIBER_CACHE: dict = {}
-
-
+@functools.cache
 def calibrate_fiber_constants(lift: CarnotLift) -> FiberConstants:
     """Measure the slice constants of the lifted metric on a box grid.
 
@@ -827,8 +809,6 @@ def calibrate_fiber_constants(lift: CarnotLift) -> FiberConstants:
     horizontal path to the base is admissible with the same controls, and
     any base path lifts at equal cost, so the two infima coincide.
     """
-    if lift.name in _FIBER_CACHE:
-        return _FIBER_CACHE[lift.name]
     n, N = lift.base.n, lift.N
     radii, floor = (0.35, 0.45, 0.55), 0.05
     dom = BoxDomain((-1.7,) * N, (1.7,) * N, (41,) * N)
@@ -860,10 +840,8 @@ def calibrate_fiber_constants(lift: CarnotLift) -> FiberConstants:
             break
     if kappa == 0.0:
         raise RuntimeError("no kappa in the ladder clears the slice floor")
-    out = FiberConstants(kappa=kappa, c_lower=c_lower, c_upper=c_upper,
-                         radii=radii, floor=floor)
-    _FIBER_CACHE[lift.name] = out
-    return out
+    return FiberConstants(kappa=kappa, c_lower=c_lower, c_upper=c_upper,
+                          radii=radii, floor=floor)
 
 
 def _smoothstep_expr(t):
@@ -892,9 +870,7 @@ class CutoffFamily:
         return self.H * self.R
 
 
-_CUTOFF_WORDS: dict = {}
-
-
+@functools.cache
 def _cutoff_words_fn(lift: CarnotLift):
     """The X-words of length <= 2 of the cutoff profile psi, jointly.
 
@@ -905,21 +881,18 @@ def _cutoff_words_fn(lift: CarnotLift):
     that gives them all; the radii are symbols, so the words are compiled
     with common-subexpression elimination once per lift and process.
     """
-    hit = _CUTOFF_WORDS.get(lift.name)
-    if hit is None:
-        usyms = lift.symbols("u")
-        t1, t2 = sp.symbols("t1 t2", positive=True)
-        L = lift.norm_exponent
-        s_expr = sum(u ** (L // w) for u, w in zip(usyms, lift.weights))
-        psi = _smoothstep_expr((t2 ** L - s_expr) / (t2 ** L - t1 ** L))
-        m = lift.base.m
-        words = [(), *[(i,) for i in range(m)],
-                 *[(i, j) for i in range(m) for j in range(m)]]
-        fn = sp.lambdify((*usyms, t1, t2),
-                         [word_apply_sympy(lift, w, psi, usyms)
-                          for w in words], modules="numpy", cse=True)
-        hit = _CUTOFF_WORDS[lift.name] = (words, fn)
-    return hit
+    usyms = lift.symbols("u")
+    t1, t2 = sp.symbols("t1 t2", positive=True)
+    L = lift.norm_exponent
+    s_expr = sum(u ** (L // w) for u, w in zip(usyms, lift.weights))
+    psi = _smoothstep_expr((t2 ** L - s_expr) / (t2 ** L - t1 ** L))
+    m = lift.base.m
+    words = [(), *[(i,) for i in range(m)],
+             *[(i, j) for i in range(m) for j in range(m)]]
+    fn = sp.lambdify((*usyms, t1, t2),
+                     [word_apply_sympy(lift, w, psi, usyms) for w in words],
+                     modules="numpy", cse=True)
+    return words, fn
 
 
 def cutoff_family(lift: CarnotLift, x, R: float,

@@ -41,10 +41,6 @@ class EstimateReport:
             for row in self.rows:
                 w.writerow([_fmt(v) for v in row] + [h, __version__])
 
-    def column(self, name: str) -> list:
-        k = self.columns.index(name)
-        return [row[k] for row in self.rows]
-
 
 def _fmt(v):
     if isinstance(v, float):

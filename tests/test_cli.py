@@ -2,11 +2,13 @@
 
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subelliptic.cli import run_command
+from subelliptic.cli import build_parser, run_command
 from subelliptic.domain import BoxDomain, GridFunction, write_grid_binary
 from subelliptic.fields import (DilationFamily, HormanderSystem, Poly,
                                 PolyVectorField, system_to_json)
@@ -124,3 +126,19 @@ def test_csv_determinism(tmp_path):
         run_command(["geom", "--name", "grushin1", "--check", "doubling",
                      "--grid", "41", "--out", str(out)])
     assert (a / "geom.csv").read_text() == (b / "geom.csv").read_text()
+
+
+def test_readme_cli_examples_parse():
+    # every line of the README's CLI block parses with the real parser
+    # (nothing is run), so an example that drifts from the CLI fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "subelliptic", line
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

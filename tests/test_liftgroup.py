@@ -130,11 +130,22 @@ def test_reproduction_identity_and_sweep():
 
 
 def test_normalization_constant_pinned():
-    # the streamed cubature adds the partial sums of fixed base-grid blocks
-    # in block order, not in the level-by-level slab order that recorded
-    # this value; the two orders agree to rounding
-    assert normalization_constant() == pytest.approx(-0.15947993314451175,
-                                                     rel=1e-12)
+    # the streamed cubature's blocks and the order in which their partial
+    # sums are added are fixed, so the value is bitwise the same on one
+    # worker and on several
+    assert normalization_constant() == -0.15947993314451175
+
+
+def test_catalog_lifts_and_calibrations_are_memoized(eq1):
+    # each catalog lift is one object per process and lifts hash by
+    # identity, so every caller hits the lift-keyed caches; a miss on
+    # calibrate_equivalence would rerun the 41^3 value iteration
+    assert lift_grushin1() is lift_grushin1()
+    assert lift_example3() is lift_example3()
+    assert HeisenbergGamma().lift is lift_grushin1()
+    assert (liftgroup.calibrate_equivalence(lift_grushin1())
+            is liftgroup.calibrate_equivalence(lift_grushin1()))
+    assert liftgroup.calibrate_equivalence(lift_grushin1()) is eq1
 
 
 def _within(seconds, fn):
