@@ -333,7 +333,8 @@ def run_command(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, FileNotFoundError, BudgetExceededError,
-            json.JSONDecodeError, KeyError, ValueError) as exc:
+            maximal.CoverageGapError, json.JSONDecodeError, KeyError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

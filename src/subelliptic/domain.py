@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -68,6 +69,16 @@ class BoxDomain:
     @property
     def num_points(self) -> int:
         return int(np.prod(self.counts))
+
+    @functools.cached_property
+    def border(self) -> np.ndarray:
+        """Flat mask of the nodes on the box faces."""
+        inner = np.zeros(np.subtract(self.counts, 2), dtype=bool)
+        return np.pad(inner, 1, constant_values=True).ravel()
+
+    def clips(self, mask: np.ndarray) -> bool:
+        """Whether a node set (a ball) reaches the box faces."""
+        return bool(np.any(mask.ravel() & self.border))
 
     def axes(self) -> list:
         return [np.linspace(l, u, c) for l, u, c in

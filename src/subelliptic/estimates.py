@@ -79,22 +79,30 @@ class SobolevReport:
         return self.total
 
 
+def _word_grids(system: HormanderSystem, f: GridFunction, k: int) -> dict:
+    """X_I f for the words I of length 1..k, shorter words first; each
+    word differentiates its prefix's grid, so (j, i) holds X_i X_j f."""
+    grids, frontier = {}, {(): f}
+    for _ in range(k):
+        frontier = {word + (i,): apply_field_grid(system.fields[i], g)
+                    for word, g in frontier.items()
+                    for i in range(system.m)}
+        grids.update(frontier)
+    return grids
+
+
+def _sobolev_report(f: GridFunction, words: dict, k: int,
+                    p: float) -> SobolevReport:
+    base = f.lp_norm(p)
+    word_norms = {w: g.lp_norm(p) for w, g in words.items()}
+    return SobolevReport(p=p, k=k, base_norm=base, word_norms=word_norms,
+                         total=base + sum(word_norms.values()))
+
+
 def sobolev_norm(system: HormanderSystem, f: GridFunction, k: int,
                  p: float) -> SobolevReport:
     """||f||_p plus the sum of ||X_I f||_p over words of length 1..k."""
-    base = f.lp_norm(p)
-    word_norms = {}
-    frontier = {(): f}
-    for _ in range(k):
-        nxt = {}
-        for word, g in frontier.items():
-            for i in range(system.m):
-                w = word + (i,)
-                nxt[w] = apply_field_grid(system.fields[i], g)
-                word_norms[w] = nxt[w].lp_norm(p)
-        frontier = nxt
-    return SobolevReport(p=p, k=k, base_norm=base, word_norms=word_norms,
-                         total=base + sum(word_norms.values()))
+    return _sobolev_report(f, _word_grids(system, f, k), k, p)
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +169,19 @@ class DiscreteOperator:
 
 def apply_L(op: DiscreteOperator, u: GridFunction) -> GridFunction:
     """sum_ij a_ij(x) X_i X_j u; margin grows by two stencil widths."""
-    sys_ = op.system
-    out = np.zeros(op.domain.counts)
-    margin = u.margin + 2
-    first = [apply_field_grid(sys_.fields[j], u) for j in range(sys_.m)]
-    for i in range(sys_.m):
-        for j in range(sys_.m):
+    return _L_from_words(op, u, _word_grids(op.system, u, 2))
+
+
+def _L_from_words(op: DiscreteOperator, u: GridFunction,
+                  words: dict) -> GridFunction:
+    """L u summed from the word grids of u (see _word_grids)."""
+    out, margin = np.zeros(op.domain.counts), u.margin + 2
+    for i in range(op.system.m):
+        for j in range(op.system.m):
             a = op.entry(i, j)
             if not np.any(a.values):
                 continue
-            second = apply_field_grid(sys_.fields[i], first[j])
+            second = words[(j, i)]
             out += a.values * second.values
             margin = max(margin, second.margin, a.margin)
     return GridFunction(op.domain, out, margin)
@@ -182,9 +193,16 @@ def apply_L(op: DiscreteOperator, u: GridFunction) -> GridFunction:
 
 def apriori_ratio(op: DiscreteOperator, u: GridFunction, p: float):
     """||u||_{W^{2,p}} / (||Lu||_p + ||u||_p), with the report attached."""
-    rep = sobolev_norm(op.system, u, 2, p)
-    Lu = apply_L(op, u)
-    denom = Lu.lp_norm(p) + u.lp_norm(p)
+    return _ratio(op, u, 0, p)
+
+
+def _ratio(op: DiscreteOperator, u: GridFunction, k: int, p: float):
+    """(||u||_{W^{k+2,p}} / (||Lu||_{W^{k,p}} + ||u||_p), report of u);
+    u is differentiated once per word, and L u summed from those grids."""
+    words = _word_grids(op.system, u, k + 2)
+    rep = _sobolev_report(u, words, k + 2, p)
+    Lu = _L_from_words(op, u, words)
+    denom = sobolev_norm(op.system, Lu, k, p).total + u.lp_norm(p)
     if denom == 0.0:
         return 0.0, rep
     return rep.total / denom, rep
@@ -250,13 +268,7 @@ def leibniz_expand(system: HormanderSystem, J, a: GridFunction,
 def higher_order_ratio(op: DiscreteOperator, u: GridFunction, k: int,
                        p: float) -> float:
     """||u||_{W^{k+2,p}} / (||Lu||_{W^{k,p}} + ||u||_p)."""
-    rep = sobolev_norm(op.system, u, k + 2, p)
-    Lu = apply_L(op, u)
-    Lu_rep = sobolev_norm(op.system, Lu, k, p)
-    denom = Lu_rep.total + u.lp_norm(p)
-    if denom == 0.0:
-        return 0.0
-    return rep.total / denom
+    return _ratio(op, u, k, p)[0]
 
 
 # ---------------------------------------------------------------------------

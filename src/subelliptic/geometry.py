@@ -114,6 +114,7 @@ class CCMetric:
             1.5 * float(np.min(domain.spacing))
         self._moves = self._build_moves()
         self._corner_moves = None
+        self._field_cache = {}           # see cached_distance_field
 
     def _build_moves(self):
         """(cost, P) per move, P in the two-lane layout (2p x p).
@@ -245,10 +246,7 @@ class CCMetric:
 def get_metric(system: HormanderSystem, domain: BoxDomain,
                cfg: CCGraphConfig = CCGraphConfig()) -> CCMetric:
     """Per-system memoized metric construction."""
-    cache = getattr(system, "_metric_cache", None)
-    if cache is None:
-        cache = {}
-        system._metric_cache = cache
+    cache = system.__dict__.setdefault("_metric_cache", {})
     key = (domain, cfg)
     if key not in cache:
         cache[key] = CCMetric(system, domain, cfg)
@@ -259,12 +257,9 @@ _FIELD_CACHE_LIMIT = 64
 
 
 def cached_distance_field(metric: CCMetric, source) -> np.ndarray:
-    """Memoized single-source distance field (flat array)."""
-    cache = getattr(metric, "_dfield_cache", None)
-    if cache is None:
-        cache = {}
-        metric._dfield_cache = cache
-    key = tuple(np.round(np.asarray(source, dtype=float), 12))
+    """Memoized single-source distance field (flat array), keyed by the
+    grid node the source snaps to: the field depends on nothing else."""
+    cache, key = metric._field_cache, metric.domain.flat_index_of(source)
     if key not in cache:
         if len(cache) >= _FIELD_CACHE_LIMIT:
             cache.pop(next(iter(cache)))
@@ -301,27 +296,20 @@ def cc_distance(system: HormanderSystem, x, y,
     return DistanceResult(float(d_f), float(err), "ok", float(d_c))
 
 
+def ball_measure(dist: np.ndarray, r: float, domain: BoxDomain) -> float:
+    """Node count of the ball {dist < r} times the cell volume; raises
+    ClippedBallError when the ball reaches the box faces."""
+    inside = dist.ravel() < r
+    if domain.clips(inside):
+        raise ClippedBallError(f"ball of radius {r} reaches the boundary")
+    return float(np.count_nonzero(inside)) * domain.cell_volume
+
+
 def ball_volume(system: HormanderSystem, center, r: float, domain: BoxDomain,
                 metric: CCMetric | None = None) -> float:
     """Grid-count measure of B(center, r); refuses clipped balls."""
     m = metric if metric is not None else get_metric(system, domain)
-    dist = cached_distance_field(m, np.asarray(center, dtype=float))
-    inside = (dist < r).reshape(domain.counts)
-    if _touches_boundary(inside):
-        raise ClippedBallError(
-            f"ball B({center}, {r}) reaches the domain boundary")
-    return float(np.count_nonzero(inside)) * domain.cell_volume
-
-
-def _touches_boundary(mask: np.ndarray) -> bool:
-    for ax in range(mask.ndim):
-        sl_lo = [slice(None)] * mask.ndim
-        sl_hi = [slice(None)] * mask.ndim
-        sl_lo[ax] = 0
-        sl_hi[ax] = -1
-        if mask[tuple(sl_lo)].any() or mask[tuple(sl_hi)].any():
-            return True
-    return False
+    return ball_measure(cached_distance_field(m, center), r, domain)
 
 
 def growth_exponent_fit(ratios_R_over_r, volume_ratios) -> float:

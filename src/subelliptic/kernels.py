@@ -23,7 +23,8 @@ import sympy as sp
 
 from .domain import BoxDomain
 from .fields import grushin, word_apply_sympy
-from .geometry import _touches_boundary, cached_distance_field, get_metric
+from .geometry import (ClippedBallError, ball_measure, cached_distance_field,
+                       get_metric)
 from .liftgroup import (CarnotLift, GrushinGamma, HeisenbergGamma, _B_SYMS,
                         _H_SYMS, _graded_levels, _lifted_sums,
                         _smoothstep_expr, base_operator_expr,
@@ -373,8 +374,7 @@ def kernel_eval(i: int, j: int, x, y, A=None) -> float:
 def _metric_sample(centers, domain):
     """Base grushin metric with distance fields from the given centers."""
     m = get_metric(_BASE_SYSTEM, domain)
-    fields = m.distance_fields(centers)
-    return m, fields
+    return m, m.distance_fields(centers)
 
 
 @dataclass
@@ -385,6 +385,39 @@ class StandardEstimateFit:
     skipped: int           # pairs dropped for clipped balls or tiny distances
 
 
+def _ball_fit(seed: int, spread: float, num_centers: int, draws: int,
+              draw, skip, weigh) -> StandardEstimateFit:
+    """Sampling loop of the kernel-estimate fits: per center c, draw(rng, c)
+    gives points whose last one fixes the ball B(c, d(c, y)).  A draw is
+    skipped when a point leaves the box, skip(distances, tau) holds or the
+    ball is clipped; else it adds weigh(c, points, distances) * |B|."""
+    rng = np.random.default_rng(seed)
+    domain = BoxDomain(*_FIT_BOX)
+    centers = rng.uniform(-spread, spread, size=(num_centers, 2))
+    m, dfields = _metric_sample(centers, domain)
+
+    def sample(c, df):
+        pts = draw(rng, c)
+        if not all(domain.contains(x) for x in pts):
+            return None
+        ds = [m.interpolate(df, x) for x in pts]
+        if skip(ds, m.tau):
+            return None
+        try:
+            volB = ball_measure(df, ds[-1], domain)
+        except ClippedBallError:
+            return None
+        return weigh(c, pts, ds) * volB
+
+    drawn = [sample(c, df) for c, df in zip(centers, dfields)
+             for _ in range(draws)]
+    vals = np.array([v for v in drawn if v is not None])
+    return StandardEstimateFit(constant=float(vals.max()),
+                               median=float(np.median(vals)),
+                               samples=int(vals.size),
+                               skipped=len(drawn) - vals.size)
+
+
 def standard_estimate_fit(i: int, j: int, A=None) -> StandardEstimateFit:
     """Fit of the size estimate |K(x,y)| * |B(x, d(x,y))| <= A_fit.
 
@@ -393,35 +426,12 @@ def standard_estimate_fit(i: int, j: int, A=None) -> StandardEstimateFit:
     maximum.  Pairs whose ball would be clipped by the box are skipped and
     counted.
     """
-    rng = np.random.default_rng(5)
-    domain = BoxDomain(*_FIT_BOX)
-    centers = rng.uniform(-0.6, 0.6, size=(20, 2))
-    m, dfields = _metric_sample(centers, domain)
-    counts = domain.counts
-    G = GrushinGamma(A)
-    vals, skipped = [], 0
-    for c, df in zip(centers, dfields):
-        dgrid = df.reshape(counts)
-        for _ in range(15):
-            y = c + rng.uniform(-0.8, 0.8, size=2)
-            if not domain.contains(y):
-                skipped += 1
-                continue
-            d = m.interpolate(df, y)
-            if d < 4 * m.tau or d > 1e17:
-                skipped += 1
-                continue
-            inside = dgrid < d
-            if _touches_boundary(inside):
-                skipped += 1
-                continue
-            volB = float(np.count_nonzero(inside)) * domain.cell_volume
-            K = float(G.x_derivative((i, j), c, y))
-            vals.append(abs(K) * volB)
-    vals = np.array(vals)
-    return StandardEstimateFit(constant=float(vals.max()),
-                               median=float(np.median(vals)),
-                               samples=int(vals.size), skipped=skipped)
+    K = GrushinGamma(A).x_derivative
+    return _ball_fit(
+        5, 0.6, 20, 15,
+        lambda rng, c: (c + rng.uniform(-0.8, 0.8, size=2),),
+        lambda ds, tau: ds[0] < 4 * tau or ds[0] > 1e17,
+        lambda c, pts, ds: abs(float(K((i, j), c, pts[0]))))
 
 
 def mean_value_fit(i: int, j: int, A=None) -> StandardEstimateFit:
@@ -430,38 +440,15 @@ def mean_value_fit(i: int, j: int, A=None) -> StandardEstimateFit:
     For triples with d(x0, y) >= 2 d(x0, x):
     |K(x,y) - K(x0,y)| <= B_fit * (d(x0,x) / d(x0,y)) / |B(x0, d(x0,y))|.
     """
-    rng = np.random.default_rng(6)
-    domain = BoxDomain(*_FIT_BOX)
-    centers = rng.uniform(-0.5, 0.5, size=(12, 2))
-    m, dfields = _metric_sample(centers, domain)
-    counts = domain.counts
-    G = GrushinGamma(A)
-    vals, skipped = [], 0
-    for x0, df in zip(centers, dfields):
-        dgrid = df.reshape(counts)
-        for _ in range(10):
-            x = x0 + rng.uniform(-0.08, 0.08, size=2)
-            y = x0 + rng.uniform(-0.8, 0.8, size=2)
-            if not (domain.contains(x) and domain.contains(y)):
-                skipped += 1
-                continue
-            dxx = m.interpolate(df, x)
-            dxy = m.interpolate(df, y)
-            if dxy < max(2 * dxx, 6 * m.tau) or dxx < m.tau:
-                skipped += 1
-                continue
-            inside = dgrid < dxy
-            if _touches_boundary(inside):
-                skipped += 1
-                continue
-            volB = float(np.count_nonzero(inside)) * domain.cell_volume
-            dK = abs(float(G.x_derivative((i, j), x, y)) -
-                     float(G.x_derivative((i, j), x0, y)))
-            vals.append(dK * (dxy / dxx) * volB)
-    vals = np.array(vals)
-    return StandardEstimateFit(constant=float(vals.max()),
-                               median=float(np.median(vals)),
-                               samples=int(vals.size), skipped=skipped)
+    K = GrushinGamma(A).x_derivative
+    return _ball_fit(
+        6, 0.5, 12, 10,
+        lambda rng, x0: (x0 + rng.uniform(-0.08, 0.08, size=2),
+                         x0 + rng.uniform(-0.8, 0.8, size=2)),
+        lambda ds, tau: ds[1] < max(2 * ds[0], 6 * tau) or ds[0] < tau,
+        lambda x0, pts, ds: (abs(float(K((i, j), *pts))
+                                 - float(K((i, j), x0, pts[1])))
+                             * (ds[1] / ds[0])))
 
 
 def base_shell_integral(i: int, j: int, z, r0: float, r1: float,
@@ -471,40 +458,32 @@ def base_shell_integral(i: int, j: int, z, r0: float, r1: float,
     z is snapped to a grid node; the cell containing z is excluded and
     symmetric cell pairs (y, 2z - y) are summed together first, which
     cancels the odd part of the discretization error near the pole.
+    Raises ClippedBallError when the shell reaches the box faces.
     """
     domain = BoxDomain(*_FIT_BOX)
     if r1 <= r0:
         return 0.0
-    m = get_metric(_BASE_SYSTEM, domain)
-    iz = np.array(domain.index_of(z))
-    z = domain.point_at(int(np.ravel_multi_index(tuple(iz), domain.counts)))
-    dist = cached_distance_field(m, z)
+    flat = domain.flat_index_of(z)
+    iz, z = np.array(domain.index_of(z)), domain.point_at(flat)
+    dist = cached_distance_field(get_metric(_BASE_SYSTEM, domain), z)
     mask = (dist > r0) & (dist < r1)
-    mask[np.ravel_multi_index(tuple(iz), domain.counts)] = False
+    if domain.clips(mask):
+        raise ClippedBallError(f"shell {r0} < d < {r1} reaches the boundary")
+    mask[flat] = False
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return 0.0
-    multi = np.stack(np.unravel_index(idx, domain.counts), axis=1)
-    refl = 2 * iz[None, :] - multi
-    counts = np.array(domain.counts)
-    ok = np.all((refl >= 0) & (refl < counts), axis=1)
-    refl_flat = np.full(idx.size, -1)
-    refl_flat[ok] = np.ravel_multi_index(tuple(refl[ok].T), domain.counts)
-    pts = domain.points()[idx]
-    K = GrushinGamma(A).x_derivative((i, j), z, pts)
-    flat_to_pos = {f: p for p, f in enumerate(idx)}
-    total, used = 0.0, np.zeros(idx.size, dtype=bool)
-    for p in range(idx.size):
-        if used[p]:
-            continue
-        q = flat_to_pos.get(refl_flat[p], -1)
-        if q >= 0 and not used[q] and mask[refl_flat[p]]:
-            total += K[p] + K[q]
-            used[p] = used[q] = True
-        else:
-            total += K[p]
-            used[p] = True
-    return abs(total * domain.cell_volume)
+    # q[p]: position in idx of the mirror node 2z - y of idx[p], or -1
+    refl = 2 * iz - np.stack(np.unravel_index(idx, domain.counts), axis=1)
+    ok = np.all((refl >= 0) & (refl < domain.counts), axis=1)
+    pos = np.full(domain.num_points, -1)
+    pos[idx] = np.arange(idx.size)
+    q = np.full(idx.size, -1)
+    q[ok] = pos[np.ravel_multi_index(tuple(refl[ok].T), domain.counts)]
+    K = GrushinGamma(A).x_derivative((i, j), z, domain.points()[idx])
+    # one term per mirror pair at its first node, summed in node order
+    lead = (q < 0) | (q > np.arange(idx.size))
+    return abs(sum(np.where(q >= 0, K + K[q], K)[lead]) * domain.cell_volume)
 
 
 def shell_bound_fit(i: int, j: int, A=None) -> float:

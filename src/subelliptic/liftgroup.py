@@ -29,7 +29,7 @@ import sympy as sp
 from .domain import BoxDomain, GridFunction
 from .fields import (Poly, PolyVectorField, HormanderSystem, grushin,
                      example3, poly_to_sympy, word_apply_sympy)
-from .geometry import CCMetric, _touches_boundary, ball_volume, get_metric
+from .geometry import CCMetric, ball_measure, ball_volume
 from .pool import _ordered_map
 
 
@@ -815,20 +815,15 @@ def calibrate_fiber_constants(lift: CarnotLift) -> FiberConstants:
     metric = CCMetric(control_system(lift), dom)
     dgrid = metric.distance_field(np.zeros(N)).reshape(dom.counts)
     fiber_axes = tuple(range(n, N))
-    h = dom.spacing
-    fiber_cell = float(np.prod(h[n:]))
-    base_cell = float(np.prod(h[:n]))
+    fiber_cell = float(np.prod(dom.spacing[n:]))
+    base = BoxDomain(dom.lower[:n], dom.upper[:n], dom.counts[:n])
     d_base = dgrid.min(axis=fiber_axes)
 
     per_radius = []
     for r in radii:
-        inside = dgrid < r
-        if _touches_boundary(inside):
-            raise RuntimeError(
-                f"lifted ball of radius {r} clipped by the calibration box")
-        vol_lift = float(np.count_nonzero(inside)) * dom.cell_volume
-        vol_base = float(np.count_nonzero(d_base < r)) * base_cell
-        slice_meas = inside.sum(axis=fiber_axes) * fiber_cell
+        vol_lift = ball_measure(dgrid, r, dom)
+        vol_base = ball_measure(d_base, r, base)
+        slice_meas = (dgrid < r).sum(axis=fiber_axes) * fiber_cell
         per_radius.append((r, slice_meas * vol_base / vol_lift))
 
     c_upper = max(float(sm.max()) for _, sm in per_radius)
@@ -917,8 +912,7 @@ def cutoff_family(lift: CarnotLift, x, R: float,
     H = 2.0 * eq.gamma2 / (eq.gamma1 * fib.kappa)
     words, words_fn = _cutoff_words_fn(lift)
 
-    metric = get_metric(lift.base, domain)
-    volB = ball_volume(lift.base, x, R, domain, metric=metric)
+    volB = ball_volume(lift.base, x, R, domain)
 
     pts = domain.points()                          # (npts, n)
     eta = np.linspace(-1.05 * t2, 1.05 * t2, 161)

@@ -39,7 +39,7 @@ class BallFamily:
     members[k] is the CSR matrix (C, num_points) of the radius-radii[k]
     balls, point_balls[k] its transpose as CSR arrays (indptr, ball
     indices) that list the balls holding each point, counts[k] the balls'
-    node counts, and clipped[c, k] flags balls that reach the box boundary.
+    node counts, and clipped[c, k] flags balls that reach the box faces.
     """
 
     domain: BoxDomain
@@ -53,15 +53,11 @@ class BallFamily:
     point_balls: list = field(init=False, repr=False)   # K (indptr, balls)
     counts: np.ndarray = field(init=False, repr=False)  # (K, C)
     clipped: np.ndarray = field(init=False, repr=False)  # (C, K) bool
-    _border: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("radii must be strictly increasing")
-        border = np.ones(self.domain.counts, dtype=bool)
-        border[tuple(slice(1, -1) for _ in self.domain.counts)] = False
-        self._border = border.ravel()
         self.members, self.point_balls = [], []
         for r in self.radii:
             inside = self.distance < r
@@ -70,18 +66,12 @@ class BallFamily:
                 (np.ones(len(points)), points, indptr), shape=inside.shape))
             self.point_balls.append(_csr_arrays(inside.T))
         self.counts = np.array([np.diff(m.indptr) for m in self.members])
-        self.clipped = np.array([m @ self._border > 0
+        self.clipped = np.array([m @ self.domain.border > 0
                                  for m in self.members]).T
 
     @property
     def num_centers(self) -> int:
         return int(self.centers.shape[0])
-
-    def ball_mask(self, center_idx: int, r: float) -> np.ndarray:
-        return self.distance[center_idx] < r
-
-    def is_clipped_mask(self, mask: np.ndarray) -> bool:
-        return bool(np.any(mask & self._border))
 
     def coverage(self, k: int) -> float:
         return float(np.count_nonzero(np.diff(self.point_balls[k][0]))) \
@@ -123,11 +113,12 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
     family ball at the smallest radius (possibly a clipped one: coverage is
     a geometric property of the center net, clipping a per-use filter).
     """
+    if min(stride, num_radii) < 1:
+        raise ValueError("stride and num_radii must be at least 1")
     metric = get_metric(system, domain)
-    idx_axes = [np.arange(0, c, stride) for c in domain.counts]
     # Always include the last node per axis so the net reaches the boundary.
-    idx_axes = [np.unique(np.append(a, c - 1))
-                for a, c in zip(idx_axes, domain.counts)]
+    idx_axes = [np.unique(np.append(np.arange(0, c, stride), c - 1))
+                for c in domain.counts]
     mesh = np.meshgrid(*idx_axes, indexing="ij")
     flat = np.ravel_multi_index(tuple(m.ravel() for m in mesh), domain.counts)
     centers = np.array([domain.point_at(i) for i in flat])
@@ -189,7 +180,7 @@ def _family_sup(f: GridFunction, fam: BallFamily, oscillation: bool):
         covered |= best >= 0
     margin = _covering_margin(covered, f.domain)
     return GridFunction(f.domain, out.reshape(f.domain.counts),
-                        max(margin, f.margin)), covered
+                        max(margin, f.margin))
 
 
 def _covering_margin(covered: np.ndarray, domain: BoxDomain) -> int:
@@ -204,14 +195,12 @@ def _covering_margin(covered: np.ndarray, domain: BoxDomain) -> int:
 
 def hl_maximal(f: GridFunction, fam: BallFamily) -> GridFunction:
     """Family supremum of |f|-averages; lower-bounds the true maximal."""
-    out, _ = _family_sup(f, fam, oscillation=False)
-    return out
+    return _family_sup(f, fam, oscillation=False)
 
 
 def sharp_maximal(f: GridFunction, fam: BallFamily) -> GridFunction:
     """Family supremum of mean oscillations of f."""
-    out, _ = _family_sup(f, fam, oscillation=True)
-    return out
+    return _family_sup(f, fam, oscillation=True)
 
 
 def abs_power(f: GridFunction, p: float) -> GridFunction:
@@ -242,15 +231,13 @@ def vmo_modulus(f: GridFunction, fam: BallFamily,
     grad_sup, when given, is sum_i ||X_i f||_inf; the report then carries the
     smallest slope c with eta(r) <= c * r * grad_sup across the radius grid.
     """
-    vals = f.values.ravel()
-    trust = f.interior_mask().ravel()
     eta = np.maximum.accumulate([max(stat.max(), 0.0)
                                  for _, stat in _ball_stats(f, fam, True)])
     slope = None
     if grad_sup is not None and grad_sup > 0:
         slope = float(np.max(eta / (fam.radii * grad_sup)))
     return VMOReport(radii=fam.radii.copy(), eta=eta,
-                     sup_norm=float(np.max(np.abs(vals[trust]))),
+                     sup_norm=float(np.max(np.abs(f.interior_values()))),
                      fitted_slope=slope)
 
 
@@ -296,23 +283,33 @@ def fitted_constant(records) -> float:
     return float(max(ratios))
 
 
-def mean_over(vals_flat: np.ndarray, mask: np.ndarray) -> float:
-    return float(vals_flat[mask].mean())
-
-
 def mean_oscillation(vals_flat: np.ndarray, mask: np.ndarray) -> float:
     sel = vals_flat[mask]
     return float(np.abs(sel - sel.mean()).mean())
 
 
-def _ball_pair(fam: BallFamily, trust: np.ndarray, center_idx: int,
-               r: float, k: float):
-    """Masks for B_r and B_kr, or None when B_kr is unusable."""
-    mask_r = fam.ball_mask(center_idx, r)
-    mask_kr = fam.ball_mask(center_idx, k * r)
-    if fam.is_clipped_mask(mask_kr) or np.any(mask_kr & ~trust):
-        return None
-    return mask_r, mask_kr
+def _oscillation_record(second: dict, M_second: dict, trusted: GridFunction,
+                        fam: BallFamily, i: int, j: int, center_idx: int,
+                        r: float, x0_flat: int, k: float, p: float,
+                        rest) -> OscillationRecord:
+    """Record of the mean oscillation of second[(i, j)] over B_r against
+    t1 = sum of M_second at x0 over k and the terms rest(mask_kr); skipped
+    when B_kr reaches the box faces or leaves trusted's interior."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    dist = fam.distance[center_idx]
+    mask_r, mask_kr = dist < r, dist < k * r
+    if np.any(mask_kr & (fam.domain.border
+                         | ~trusted.interior_mask().ravel())):
+        return OscillationRecord(np.nan, (), k, p, r, center_idx, x0_flat,
+                                 skipped=True, note="enlarged ball unusable")
+    if not mask_r[x0_flat]:
+        raise ValueError("x0 lies outside the ball")
+    lhs = mean_oscillation(second[(i, j)].values.ravel(), mask_r)
+    t1 = sum(M_second[key].values.ravel()[x0_flat]
+             for key in M_second) / k
+    return OscillationRecord(lhs, (t1,) + rest(mask_kr), k, p, r,
+                             center_idx, x0_flat)
 
 
 def oscillation_check_abstract(Tf: GridFunction, f: GridFunction,
@@ -324,22 +321,9 @@ def oscillation_check_abstract(Tf: GridFunction, f: GridFunction,
     Mf must be the precomputed family maximal of f; x0_flat indexes a grid
     point inside B_r(center).
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    trust = f.interior_mask().ravel()
-    pair = _ball_pair(fam, trust, center_idx, r, k)
-    if pair is None:
-        return OscillationRecord(np.nan, (), k, p, r, center_idx, x0_flat,
-                                 skipped=True, note="enlarged ball unusable")
-    mask_r, mask_kr = pair
-    if not mask_r[x0_flat]:
-        raise ValueError("x0 lies outside the ball")
-    lhs = mean_oscillation(Tf.values.ravel(), mask_r)
-    t1 = Mf.values.ravel()[x0_flat] / k
-    q = fam.q
-    t2 = k ** (q / p) * mean_over(np.abs(f.values.ravel()) ** p,
-                                  mask_kr) ** (1.0 / p)
-    return OscillationRecord(lhs, (t1, t2), k, p, r, center_idx, x0_flat)
+    return oscillation_check_constant_matrix(
+        {(0, 0): Tf}, {(0, 0): Mf}, f, fam, 0, 0, center_idx, r, x0_flat,
+        k, p)
 
 
 def oscillation_check_constant_matrix(
@@ -351,23 +335,12 @@ def oscillation_check_constant_matrix(
     second maps (h, l) to the grid of X_hX_lu, M_second to its precomputed
     family maximal; LAu is the constant-matrix operator applied to u.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    trust = LAu.interior_mask().ravel()
-    pair = _ball_pair(fam, trust, center_idx, r, k)
-    if pair is None:
-        return OscillationRecord(np.nan, (), k, p, r, center_idx, x0_flat,
-                                 skipped=True, note="enlarged ball unusable")
-    mask_r, mask_kr = pair
-    if not mask_r[x0_flat]:
-        raise ValueError("x0 lies outside the ball")
-    lhs = mean_oscillation(second[(i, j)].values.ravel(), mask_r)
-    t1 = sum(M_second[key].values.ravel()[x0_flat]
-             for key in M_second) / k
-    q = fam.q
-    t2 = k ** (q / p) * mean_over(np.abs(LAu.values.ravel()) ** p,
-                                  mask_kr) ** (1.0 / p)
-    return OscillationRecord(lhs, (t1, t2), k, p, r, center_idx, x0_flat)
+    def source_term(mask_kr):
+        avg = float((np.abs(LAu.values.ravel()) ** p)[mask_kr].mean())
+        return (k ** (fam.q / p) * avg ** (1.0 / p),)
+
+    return _oscillation_record(second, M_second, LAu, fam, i, j, center_idx,
+                               r, x0_flat, k, p, source_term)
 
 
 def oscillation_check_vmo(
@@ -384,25 +357,17 @@ def oscillation_check_vmo(
     """
     if abs(1.0 / alpha + 1.0 / beta - 1.0) > 1e-12:
         raise ValueError("alpha and beta must be conjugate exponents")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    trust = M_source_p.interior_mask().ravel()
-    pair = _ball_pair(fam, trust, center_idx, r, k)
-    if pair is None:
-        return OscillationRecord(np.nan, (), k, p, r, center_idx, x0_flat,
-                                 skipped=True, note="enlarged ball unusable")
-    mask_r, _ = pair
-    if not mask_r[x0_flat]:
-        raise ValueError("x0 lies outside the ball")
-    lhs = mean_oscillation(second[(i, j)].values.ravel(), mask_r)
-    q = fam.q
-    t1 = sum(M_second[key].values.ravel()[x0_flat]
-             for key in M_second) / k
-    t2 = k ** (q / p) * M_source_p.values.ravel()[x0_flat] ** (1.0 / p)
-    t3 = k ** (q / p) * a_sharp_R ** (1.0 / (p * beta)) * sum(
-        M_second_palpha[key].values.ravel()[x0_flat] ** (1.0 / (p * alpha))
-        for key in M_second_palpha)
-    return OscillationRecord(lhs, (t1, t2, t3), k, p, r, center_idx, x0_flat)
+
+    def maximal_terms(_):
+        kq = k ** (fam.q / p)
+        t2 = kq * M_source_p.values.ravel()[x0_flat] ** (1.0 / p)
+        t3 = kq * a_sharp_R ** (1.0 / (p * beta)) * sum(
+            M_second_palpha[key].values.ravel()[x0_flat]
+            ** (1.0 / (p * alpha)) for key in M_second_palpha)
+        return t2, t3
+
+    return _oscillation_record(second, M_second, M_source_p, fam, i, j,
+                               center_idx, r, x0_flat, k, p, maximal_terms)
 
 
 def sample_balls(fam: BallFamily, r: float, k: float,
@@ -412,9 +377,9 @@ def sample_balls(fam: BallFamily, r: float, k: float,
     x0_flat is the first grid point of B_r(center); the first limit usable
     centers are returned, in center order.
     """
-    if trust is None:
-        trust = np.ones(fam.domain.num_points, dtype=bool)
-    bad = ((fam.distance < k * r) & (fam._border | ~trust)).any(axis=1)
+    border = fam.domain.border
+    unusable = border if trust is None else border | ~trust
+    bad = ((fam.distance < k * r) & unusable).any(axis=1)
     usable = np.flatnonzero(~bad)[:limit]
     first = (fam.distance[usable] < r).argmax(axis=1)
     return [(int(ci), int(x0)) for ci, x0 in zip(usable, first)]

@@ -87,6 +87,26 @@ def test_maximal_hl_roundtrip(tmp_path):
     assert np.all(out.interior_values() > 0.0)
 
 
+@pytest.mark.parametrize("flag", ["--stride", "--num-radii"])
+def test_maximal_zero_family_size_is_usage_error(tmp_path, flag):
+    src = tmp_path / "f.hvfg"
+    dom = BoxDomain((-2, -2), (2, 2), (21, 21))
+    write_grid_binary(src, GridFunction(dom, np.ones(dom.counts)))
+    assert run_command(["maximal", "--op", "hl", "--f", str(src),
+                        "--name", "grushin1", "--r0", "0.8", flag, "0",
+                        "--out", str(tmp_path / "m.hvfg")]) == 2
+
+
+def test_maximal_coverage_gap_is_config_error(tmp_path, capsys):
+    # the default stride-4, r0 = 0.6 family is too coarse for a 21^2 box
+    src = tmp_path / "f.hvfg"
+    dom = BoxDomain((-2, -2), (2, 2), (21, 21))
+    write_grid_binary(src, GridFunction(dom, np.ones(dom.counts)))
+    assert run_command(["maximal", "--op", "hl", "--f", str(src),
+                        "--name", "grushin1"]) == 2
+    assert "grid points outside every" in capsys.readouterr().err
+
+
 def test_maximal_missing_grid_file():
     assert run_command(["maximal", "--op", "hl", "--f", "/nonexistent.hvfg",
                         "--name", "grushin1"]) == 2

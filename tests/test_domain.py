@@ -15,6 +15,18 @@ def test_spacing_and_volume():
     assert dom.num_points == 231
 
 
+def test_border_and_clip_test():
+    dom = BoxDomain((0, 0, 0), (1, 1, 1), (4, 3, 5))
+    grid = np.ones(dom.counts, dtype=bool)
+    grid[1:-1, 1:-1, 1:-1] = False
+    assert np.array_equal(dom.border, grid.ravel())
+    mask = np.zeros(dom.num_points, dtype=bool)
+    mask[dom.flat_index_of((0.5, 0.5, 0.5))] = True
+    assert not dom.clips(mask)
+    mask[dom.flat_index_of((0.5, 0.5, 1.0))] = True
+    assert dom.clips(mask)
+
+
 def test_points_row_major_order():
     dom = BoxDomain((0, 0), (1, 1), (3, 3))
     pts = dom.points()

@@ -146,6 +146,41 @@ def test_higher_order_reduces_to_apriori(g1, dom41, xs2):
     assert np.isfinite(r1) and r1 > 0
 
 
+def _former_ratio(op, u, k, p):
+    """The ratio with L u differentiated apart from the Sobolev walk, the
+    former construction."""
+    first = [apply_field_grid(f, u) for f in op.system.fields]
+    out, margin = np.zeros(op.domain.counts), u.margin + 2
+    for i in range(op.system.m):
+        for j in range(op.system.m):
+            a = op.entry(i, j)
+            if np.any(a.values):
+                second = apply_field_grid(op.system.fields[i], first[j])
+                out += a.values * second.values
+                margin = max(margin, second.margin, a.margin)
+    Lu = GridFunction(op.domain, out, margin)
+    denom = sobolev_norm(op.system, Lu, k, p).total + u.lp_norm(p)
+    return sobolev_norm(op.system, u, k + 2, p).total / denom
+
+
+def test_ratios_differentiate_once_per_word(monkeypatch, g1, dom41, xs2):
+    u = grid_from_expr(dom41, es.bump_expr(xs2, (0.6, 0.7)), xs2)
+    A = np.array([[1.2, 0.3], [0.3, 0.8]])
+    for op in (DiscreteOperator.identity(g1, dom41),
+               DiscreteOperator.constant(g1, A, 0.5, dom41)):
+        assert apriori_ratio(op, u, 2.0)[0] == _former_ratio(op, u, 0, 2.0)
+        assert higher_order_ratio(op, u, 1, 3.0) == \
+            _former_ratio(op, u, 1, 3.0)
+        Lu = apply_L(op, u)
+        assert Lu.margin == u.margin + 2
+    calls = []
+    real = es.apply_field_grid
+    monkeypatch.setattr(es, "apply_field_grid",
+                        lambda X, f: calls.append(1) or real(X, f))
+    apriori_ratio(DiscreteOperator.identity(g1, dom41), u, 2.0)
+    assert len(calls) == 6         # 2 first- and 4 second-order words
+
+
 def test_vmo_style_coefficients_accepted(g1, dom41, xs2):
     # diagonal 1 + amp * (sin x1, cos x2): sin x1 sweeps [-1, 1] on the
     # box, so the eigenvalues stay within [nu, 1/nu] only if

@@ -76,6 +76,16 @@ def test_clipped_ball_rejected(g1, dom41):
         ball_volume(g1, (1.8, 1.8), 1.0, dom41)
 
 
+def test_field_cache_keys_on_the_source_node(g1):
+    # two sources in one cell snap to one node, so they share one field
+    dom = BoxDomain((-1, -1), (1, 1), (21, 21))
+    m = geometry.CCMetric(g1, dom)
+    a = cached_distance_field(m, (0.301, -0.199))
+    b = cached_distance_field(m, (0.298, -0.203))
+    assert b is a and len(m._field_cache) == 1
+    assert np.array_equal(a, m.distance_field((0.3, -0.2)))
+
+
 def test_growth_exponent_fit_exact():
     ratios = np.array([2.0, 4.0])
     vols = ratios ** 3

@@ -6,6 +6,7 @@ import sympy as sp
 
 from subelliptic import kernels
 from subelliptic.domain import BoxDomain, GridFunction
+from subelliptic.geometry import ClippedBallError
 from subelliptic.kernels import (CutoffProfile, TruncatedKernel,
                                  apply_T_quadrature, base_shell_integral,
                                  cancellation_metric, flux_constant,
@@ -103,6 +104,68 @@ def test_kernel_eval_diagonal_guard():
 
 def test_base_shell_degenerate_interval():
     assert base_shell_integral(0, 0, (0.0, 0.0), 0.5, 0.5) == 0.0
+
+
+def test_base_shell_reaching_the_box_is_refused():
+    # B(0, 2.5) of grushin(1) reaches x1 = +-2 on the [-2, 2]^2 fit box
+    with pytest.raises(ClippedBallError):
+        base_shell_integral(0, 0, (0.0, 0.0), 0.5, 2.5)
+    with pytest.raises(ClippedBallError):
+        base_shell_integral(0, 0, (1.5, 0.0), 0.2, 0.7)
+
+
+def _shell_integral_loop(i, j, z, r0, r1):
+    """base_shell_integral with its mirror pairs found one node at a time,
+    the former construction."""
+    from subelliptic.geometry import cached_distance_field, get_metric
+    from subelliptic.liftgroup import GrushinGamma
+    dom = BoxDomain(*kernels._FIT_BOX)
+    iz = np.array(dom.index_of(z))
+    flat = int(np.ravel_multi_index(tuple(iz), dom.counts))
+    dist = cached_distance_field(get_metric(kernels._BASE_SYSTEM, dom),
+                                 dom.point_at(flat))
+    mask = (dist > r0) & (dist < r1)
+    mask[flat] = False
+    idx = np.flatnonzero(mask)
+    refl = 2 * iz[None, :] - np.stack(np.unravel_index(idx, dom.counts), 1)
+    ok = np.all((refl >= 0) & (refl < np.array(dom.counts)), axis=1)
+    refl_flat = np.full(idx.size, -1)
+    refl_flat[ok] = np.ravel_multi_index(tuple(refl[ok].T), dom.counts)
+    K = GrushinGamma().x_derivative((i, j), dom.point_at(flat),
+                                    dom.points()[idx])
+    pos = {f: p for p, f in enumerate(idx)}
+    total, used = 0.0, np.zeros(idx.size, dtype=bool)
+    for p in range(idx.size):
+        if used[p]:
+            continue
+        q = pos.get(refl_flat[p], -1)
+        if q >= 0 and not used[q] and mask[refl_flat[p]]:
+            total += K[p] + K[q]
+            used[p] = used[q] = True
+        else:
+            total += K[p]
+            used[p] = True
+    return abs(total * dom.cell_volume)
+
+
+@pytest.mark.parametrize("ij,z,r0,r1", [
+    ((0, 0), (0.0, 0.0), 0.15, 0.3), ((0, 1), (0.45, 0.3), 0.2, 0.6),
+    ((1, 1), (-0.3, 0.55), 0.35, 0.7), ((1, 0), (1.1, -0.9), 0.1, 0.5)])
+def test_base_shell_pairs_match_node_loop(ij, z, r0, r1):
+    assert base_shell_integral(*ij, z, r0, r1) == \
+        _shell_integral_loop(*ij, z, r0, r1)
+
+
+def test_kernel_fits_pinned():
+    # values of the fits as first recorded; the sampling loop, its RNG
+    # order and the clip test must leave every bit in place
+    fit = kernels.standard_estimate_fit(0, 0)
+    assert (fit.constant, fit.median, fit.samples, fit.skipped) == \
+        (3.5303238283382363, 0.10661869288678752, 283, 17)
+    fit = kernels.mean_value_fit(0, 0)
+    assert (fit.constant, fit.median, fit.samples, fit.skipped) == \
+        (16.140630950427308, 0.22027882931004591, 81, 39)
+    assert kernels.shell_bound_fit(0, 0) == 0.23890387650184483
 
 
 def bump_grid(dom, center, rad):

@@ -210,18 +210,63 @@ def test_family_statistics_match_direct_slicing(family41, suite41):
                                    rtol=0, atol=1e-14)
 
 
+def _face_clipped(dom, mask):
+    """Whether a flat node mask reaches a box face, checked face by face,
+    the former construction."""
+    grid = mask.reshape(dom.counts)
+    for ax in range(grid.ndim):
+        if np.take(grid, 0, axis=ax).any() or np.take(grid, -1, axis=ax).any():
+            return True
+    return False
+
+
 def _sample_balls_loop(fam, r, k, trust, limit):
     """Usable centers and their first B_r node, one center at a time, the
     former construction."""
     out = []
     for ci in range(fam.num_centers):
-        pair = maximal._ball_pair(fam, trust, ci, r, k)
-        if pair is None:
+        mask_kr = fam.distance[ci] < k * r
+        if _face_clipped(fam.domain, mask_kr) or np.any(mask_kr & ~trust):
             continue
-        out.append((ci, int(np.flatnonzero(pair[0])[0])))
+        out.append((ci, int(np.flatnonzero(fam.distance[ci] < r)[0])))
         if limit is not None and len(out) >= limit:
             break
     return out
+
+
+def test_family_clipped_matches_face_check(family41):
+    clipped = [[_face_clipped(family41.domain, family41.distance[c] < r)
+                for r in family41.radii]
+               for c in range(family41.num_centers)]
+    assert np.array_equal(family41.clipped, np.array(clipped))
+    assert family41.clipped.any() and not family41.clipped.all()
+
+
+def test_abstract_record_is_singleton_constant_matrix(family41, suite41):
+    # the abstract check is the constant-matrix check with one second
+    # derivative (Tf) and f as its source, field for field
+    f, Tf = suite41[5], suite41[6]
+    Mf = hl_maximal(f, family41)
+    trust = f.interior_mask().ravel()
+    cases = [(ci, r, x0, k)
+             for r in (family41.radii[0], 0.45)
+             for k in (2.0, 4.0)
+             for ci, x0 in sample_balls(family41, r, k, trust, 6)]
+    cases.append((0, family41.radii[-1], 0, 8.0))      # skipped
+    assert any(ci != 0 for ci, *_ in cases)
+    for ci, r, x0, k in cases:
+        for p in (1.5, 2.0):
+            a = oscillation_check_abstract(Tf, f, Mf, family41, ci, r, x0,
+                                           k, p)
+            b = maximal.oscillation_check_constant_matrix(
+                {(0, 0): Tf}, {(0, 0): Mf}, f, family41, 0, 0, ci, r, x0,
+                k, p)
+            assert np.isnan(a.lhs) == np.isnan(b.lhs)
+            assert np.isnan(a.lhs) or a.lhs == b.lhs
+            assert a.terms == b.terms
+            assert (a.k, a.p, a.radius, a.center_idx, a.x0_flat, a.skipped,
+                    a.note) == (b.k, b.p, b.radius, b.center_idx, b.x0_flat,
+                                b.skipped, b.note)
 
 
 def test_sample_balls_match_center_loop(family41, dom41):
