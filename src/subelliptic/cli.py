@@ -180,6 +180,8 @@ def cmd_maximal(args) -> int:
 
 
 def cmd_apriori(args) -> int:
+    if args.k < 0:
+        raise ConfigError(f"--k must be at least 0, got {args.k}")
     sys_ = _load_system(args)
     dom = _box_domain(args, sys_.n)
     xs = sp.symbols(f"x1:{sys_.n + 1}")
@@ -288,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="singular-kernel diagnostics")
     p.add_argument("--op", choices=["cancellation", "constant", "loggrowth"],
                    required=True)
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--j", type=int, default=0)
+    p.add_argument("--i", type=int, choices=[0, 1], default=0)
+    p.add_argument("--j", type=int, choices=[0, 1], default=0)
     p.add_argument("--matrix", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_kernel)

@@ -318,51 +318,6 @@ def check_homogeneity(sys: HormanderSystem) -> HomogeneityReport:
     return HomogeneityReport(passed=not failures, failures=failures)
 
 
-class _ExactRowSpace:
-    """Incremental exact row space over Fraction with pivoted elimination."""
-
-    def __init__(self):
-        self.rows: list[dict[int, Fraction]] = []
-        self.pivots: list[int] = []
-
-    def _reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        for r, p in zip(self.rows, self.pivots):
-            c = row.get(p)
-            if c:
-                factor = c / r[p]
-                for k, v in r.items():
-                    s = row.get(k, Fraction(0)) - factor * v
-                    if s == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = s
-        return row
-
-    def contains(self, row: dict[int, Fraction]) -> bool:
-        return not self._reduce(dict(row))
-
-    def add(self, row: dict[int, Fraction]) -> bool:
-        """Add row to the space; returns True if it was independent."""
-        red = self._reduce(dict(row))
-        if not red:
-            return False
-        pivot = min(red)
-        self.rows.append(red)
-        self.pivots.append(pivot)
-        return True
-
-
-def _field_as_row(X: PolyVectorField, key_index: dict) -> dict[int, Fraction]:
-    row: dict[int, Fraction] = {}
-    for k, poly in enumerate(X.comps):
-        for e, c in poly.terms.items():
-            key = (k, e)
-            if key not in key_index:
-                key_index[key] = len(key_index)
-            row[key_index[key]] = c
-    return row
-
-
 @dataclass
 class LieClosure:
     basis: list                 # PolyVectorField, deterministic order
@@ -378,51 +333,45 @@ class LieClosure:
         return self.N - self.system.n
 
 
+def _independent(basis: list, X: PolyVectorField) -> bool:
+    """True when X lies outside the span of the independent fields in
+    basis: the exact rank of their coefficient rows exceeds len(basis)."""
+    import sympy as sp
+    rows = [{(k, e): c for k, p in enumerate(Y.comps)
+             for e, c in p.terms.items()} for Y in basis + [X]]
+    keys = sorted(set().union(*rows))
+    return sp.Matrix([[r.get(key, 0) for key in keys]
+                      for r in rows]).rank() == len(rows)
+
+
 def lie_closure(sys: HormanderSystem, max_depth: int | None = None) -> LieClosure:
     """Breadth-first left-normed bracket closure with exact span decisions.
 
     Depth-d brackets of 1-homogeneous fields are d-homogeneous, hence vanish
     for d > sigma_n; max_depth defaults to sigma_n + 1 as a certificate.
+    A bracket deeper than max_depth that is independent of the basis is
+    leftover, and any leftover raises ClosureError.
     """
     if max_depth is None:
         max_depth = sys.dilations.exponents[-1] + 1
-    key_index: dict = {}
-    space = _ExactRowSpace()
     basis: list[PolyVectorField] = []
     words: list[tuple] = []
-    frontier: list[tuple[tuple, PolyVectorField]] = []
-    for j, X in enumerate(sys.fields):
-        if space.add(_field_as_row(X, key_index)):
-            basis.append(X)
-            words.append((j,))
-        frontier.append(((j,), X))
-    depth = 1
-    while frontier:
-        depth += 1
-        if depth > max_depth:
-            # remaining frontier must consist of dependent brackets only
-            leftover = []
-            for w, X in frontier:
-                for j, G in enumerate(sys.fields):
-                    B = lie_bracket(X, G)
-                    if not B.is_zero() and not space.contains(_field_as_row(B, key_index)):
-                        leftover.append(w + (j,))
-            if leftover:
-                raise ClosureError(
-                    f"closure not reached at max_depth={max_depth}: {leftover}")
-            break
-        new_frontier = []
+    leftover: list[tuple] = []
+    level = [((j,), X) for j, X in enumerate(sys.fields)]
+    for depth in range(1, max_depth + 2):
+        frontier = [(w, X) for w, X in level if not X.is_zero()]
         for w, X in frontier:
-            for j, G in enumerate(sys.fields):
-                B = lie_bracket(X, G)
-                if B.is_zero():
-                    continue
-                word = w + (j,)
-                if space.add(_field_as_row(B, key_index)):
-                    basis.append(B)
-                    words.append(word)
-                new_frontier.append((word, B))
-        frontier = new_frontier
+            if _independent(basis, X):
+                if depth > max_depth:
+                    leftover.append(w)
+                else:
+                    basis.append(X)
+                    words.append(w)
+        level = ((w + (j,), lie_bracket(X, G)) for w, X in frontier
+                 for j, G in enumerate(sys.fields))
+    if leftover:
+        raise ClosureError(
+            f"closure not reached at max_depth={max_depth}: {leftover}")
     return LieClosure(basis=basis, words=words, system=sys)
 
 

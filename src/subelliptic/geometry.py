@@ -122,6 +122,8 @@ class CCMetric:
         Rows 2i and 2i + 1 hold the even and the odd corners of node i
         (itertools.product order), so (P d)[0::2] + (P d)[1::2] sums the
         corners as the two lanes (c0 + c2 + ...) + (c1 + c3 + ...).
+        Corners of weight 0 are not stored: d is finite, so they would
+        add 0 to a lane sum.
         """
         dom, sys_, tau = self.domain, self.system, self.tau
         pts = dom.points()
@@ -146,26 +148,26 @@ class CCMetric:
                 (wts[valid][:, lanes].ravel(),
                  idx[valid][:, lanes].ravel().astype(np.int32), indptr),
                 shape=(2 * npts, npts))
+            op.eliminate_zeros()
             moves.append((np.where(valid, tau * amax, _BIG), op))
         return moves
 
     def _corner_order_moves(self):
         """(cost, P) per move, P (p x p) summing the corners in order.
 
-        Derived once from the two-lane operators: a valid node's entries
-        are its 2^dim corners, lane by lane, so reordering them per node
-        gives the corner order.
+        Derived once from the two-lane operators by joining each node's
+        two lane rows and sorting their columns: the corners' flat indices
+        ascend in itertools.product order.
         """
         if self._corner_moves is None:
-            npts, ncorner = self.domain.num_points, 2 ** self.domain.dim
-            self._corner_moves = [
-                (cost, sparse.csr_matrix(
-                    (op.data.reshape(-1, 2, ncorner // 2)
-                     .transpose(0, 2, 1).ravel(),
-                     op.indices.reshape(-1, 2, ncorner // 2)
-                     .transpose(0, 2, 1).ravel(), op.indptr[0::2]),
-                    shape=(npts, npts)))
-                for cost, op in self._moves]
+            npts = self.domain.num_points
+            self._corner_moves = []
+            for cost, op in self._moves:
+                joined = sparse.csr_matrix(
+                    (op.data, op.indices, op.indptr[0::2]),
+                    shape=(npts, npts), copy=True)
+                joined.sort_indices()
+                self._corner_moves.append((cost, joined))
         return self._corner_moves
 
     def distance_fields(self, sources) -> np.ndarray:

@@ -11,8 +11,8 @@ integrating out the fiber.  The catalog carries two lifts:
   used for group geometry only.
 
 Every structural claim (group axioms, left invariance, dilation
-compatibility, projection onto the base fields) is checked by
-``verify_lift``, symbolically where the claim is polynomial.
+compatibility, homogeneity, projection onto the base fields) is checked by
+``verify_lift`` as an exact polynomial identity.
 """
 
 from __future__ import annotations
@@ -210,92 +210,51 @@ class LiftReport:
 
 
 def verify_lift(lift: CarnotLift) -> LiftReport:
+    """Check every structural claim of the lift as an exact polynomial
+    identity, component by component, with lambda a symbol."""
     details: list = []
-    rng = np.random.default_rng(7)
-    N = lift.N
 
-    # group axioms at random points (polynomial identities, so random-point
-    # checks at tight tolerance are decisive up to measure zero)
-    tol = 1e-9
-    u = rng.uniform(-1.5, 1.5, (40, N))
-    v = rng.uniform(-1.5, 1.5, (40, N))
-    w = rng.uniform(-1.5, 1.5, (40, N))
-    e = np.zeros(N)
-    ax = True
-    if not np.allclose(lift.multiply(u, e), u, atol=tol):
-        ax = False
-        details.append("right identity fails")
-    if not np.allclose(lift.multiply(e, u), u, atol=tol):
-        ax = False
-        details.append("left identity fails")
-    if not np.allclose(lift.multiply(u, lift.inverse(u)), 0.0, atol=tol):
-        ax = False
-        details.append("right inverse fails")
-    if not np.allclose(lift.multiply(lift.inverse(u), u), 0.0, atol=tol):
-        ax = False
-        details.append("left inverse fails")
-    lhs = lift.multiply(lift.multiply(u, v), w)
-    rhs = lift.multiply(u, lift.multiply(v, w))
-    if not np.allclose(lhs, rhs, atol=1e-6 * np.max(np.abs(lhs) + 1)):
-        ax = False
-        details.append("associativity fails")
+    def holds(claim: str, lhs, rhs) -> bool:
+        bad = [k for k, (a, b) in enumerate(zip(lhs, rhs))
+               if sp.expand(a - b) != 0]
+        details.extend(f"{claim} fails in component {k}" for k in bad)
+        return not bad
 
-    # left invariance, exact: d/dv [u*v] applied to Y_j(v) equals Y_j(u*v)
-    us = lift.symbols("a")
-    vs = lift.symbols("b")
-    law = lift.law_exprs(us, vs)
-    li = True
+    u, v, w = (lift.symbols(s) for s in "abc")
+    lam = sp.Symbol("lam", positive=True)
+    e = (0,) * lift.N
+    mul = lift.law_exprs
+
+    def inv(x):
+        return [poly_to_sympy(p, x) for p in lift.inverse_map]
+
+    def dil(x):
+        return [lam ** wk * xk for wk, xk in zip(lift.weights, x)]
+
+    ax = all([holds("right identity", mul(u, e), u),
+              holds("left identity", mul(e, u), u),
+              holds("right inverse", mul(u, inv(u)), e),
+              holds("left inverse", mul(inv(u), u), e),
+              holds("associativity", mul(mul(u, v), w), mul(u, mul(v, w)))])
+    da = holds("dilation automorphism", mul(dil(u), dil(v)), dil(mul(u, v)))
+
+    # left invariance: d/dv [u*v] applied to Y_j(v) equals Y_j(u*v); the
+    # fields are 1-homogeneous: Y_j(delta u)_k = lam^(w_k - 1) Y_j(u)_k; and
+    # the first n components of Y_j are X_j, free of fiber variables
+    uv, n = mul(u, v), lift.base.n
+    li = fh = pr = True
     for j in range(len(lift.fields)):
-        Yv = lift.field_exprs(j, vs)
-        Yuv = [comp.subs(dict(zip(us, law)), simultaneous=True)
-               for comp in lift.field_exprs(j, us)]
-        for k in range(N):
-            pushed = sum(sp.diff(law[k], vs[i]) * Yv[i] for i in range(N))
-            if sp.expand(pushed - Yuv[k]) != 0:
-                li = False
-                details.append(
-                    f"field {j} component {k} not left invariant")
-
-    # the dilations are group automorphisms: every monomial of law_k has
-    # combined weight w_k (weights of u and v variables both count)
-    ww = tuple(lift.weights) + tuple(lift.weights)
-    da = True
-    for k, p in enumerate(lift.law):
-        for exp in p.terms:
-            if sum(a * b for a, b in zip(exp, ww)) != lift.weights[k]:
-                da = False
-                details.append(f"law component {k}: monomial {exp} breaks "
-                               "dilation compatibility")
-
-    # lifted fields are homogeneous of degree 1 under the lifted dilations
-    fh = True
-    for j, Y in enumerate(lift.fields):
-        for k, p in enumerate(Y.comps):
-            want = lift.weights[k] - 1
-            for exp in p.terms:
-                if sum(a * b for a, b in zip(exp, lift.weights)) != want:
-                    fh = False
-                    details.append(
-                        f"field {j} component {k}: monomial {exp} has wrong "
-                        "homogeneity")
-
-    # projection onto the base: the first n components of Y_j coincide with
-    # X_j and involve no fiber variables
-    n = lift.base.n
-    pr = True
-    for j, Y in enumerate(lift.fields):
-        X = lift.base.fields[j]
-        for k in range(n):
-            terms = {}
-            okay = True
-            for exp, c in Y.comps[k].terms.items():
-                if any(exp[i] for i in range(n, lift.N)):
-                    okay = False
-                terms[exp[:n]] = c
-            if not okay or terms != dict(X.comps[k].terms):
-                pr = False
-                details.append(f"field {j} does not project onto base "
-                               f"component {k}")
+        Yv = lift.field_exprs(j, v)
+        pushed = [sum(sp.diff(c, vi) * Yi for vi, Yi in zip(v, Yv))
+                  for c in uv]
+        li &= holds(f"left invariance of field {j}", pushed,
+                    lift.field_exprs(j, uv))
+        fh &= holds(f"homogeneity of field {j}", lift.field_exprs(j, dil(u)),
+                    [lam ** (wk - 1) * c for wk, c in
+                     zip(lift.weights, lift.field_exprs(j, u))])
+        pr &= holds(f"projection of field {j}", lift.field_exprs(j, u)[:n],
+                    [poly_to_sympy(c, u[:n])
+                     for c in lift.base.fields[j].comps])
 
     return LiftReport(group_axioms=ax, left_invariant=li,
                       dilation_automorphism=da, fields_homogeneous=fh,

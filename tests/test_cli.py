@@ -69,6 +69,17 @@ def test_kernel_bad_matrix_file(tmp_path):
                         "--matrix", str(path)]) == 2
 
 
+def test_kernel_index_out_of_range_is_usage_error(capsys):
+    # the kernels are indexed by the two base fields only
+    assert run_command(["kernel", "--op", "cancellation", "--i", "2"]) == 2
+    assert "invalid choice: 2" in capsys.readouterr().err
+
+
+def test_kernel_negative_index_is_usage_error(capsys):
+    assert run_command(["kernel", "--op", "constant", "--j", "-1"]) == 2
+    assert "invalid choice: -1" in capsys.readouterr().err
+
+
 def test_maximal_hl_roundtrip(tmp_path):
     dom = BoxDomain((-2, -2), (2, 2), (21, 21))
     pts = dom.points()
@@ -129,6 +140,12 @@ def test_apriori_bad_coeffs(tmp_path):
     path.write_text(json.dumps({"nu": 0.5, "entries": {"0": "1"}}))
     assert run_command(["apriori", "--name", "grushin1", "--grid", "41",
                         "--coeffs", str(path)]) == 2
+
+
+def test_apriori_negative_order_is_config_error(capsys):
+    assert run_command(["apriori", "--name", "grushin1", "--grid", "41",
+                        "--k", "-1"]) == 2
+    assert "--k must be at least 0" in capsys.readouterr().err
 
 
 def test_report_summarize(tmp_path):

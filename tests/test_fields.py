@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subelliptic import fields
-from subelliptic.fields import (DilationFamily, HormanderSystem, Poly,
-                                PolyVectorField, check_homogeneity,
-                                hormander_rank, lie_bracket, lie_closure)
+from subelliptic.fields import (ClosureError, DilationFamily,
+                                HormanderSystem, Poly, PolyVectorField,
+                                check_homogeneity, hormander_rank,
+                                lie_bracket, lie_closure)
 
 
 def random_field(n, rng_data, max_degree=2):
@@ -104,3 +105,12 @@ def test_json_roundtrip():
 def test_closure_dimensions():
     assert lie_closure(fields.grushin(1)).N == 3
     assert lie_closure(fields.example3()).N == 4
+
+
+def test_closure_past_max_depth_names_the_leftover_brackets():
+    # grushin(2) needs depth 3; both depth-3 brackets that reach d2,
+    # [[X1, X2], X1] and [[X2, X1], X1], are named
+    with pytest.raises(ClosureError, match=r"\[\(0, 1, 0\), \(1, 0, 0\)\]"):
+        lie_closure(fields.grushin(2), max_depth=2)
+    assert lie_closure(fields.grushin(2), max_depth=3).words == \
+        [(0,), (1,), (0, 1), (0, 1, 0)]

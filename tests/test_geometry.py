@@ -180,9 +180,10 @@ def _lifted_metric():
 
 def test_moves_and_interpolation_match_corner_loop(g1, dom41):
     # each move operator holds the former per-corner tables bitwise: on
-    # valid rows the corners' columns and weights (corner order in the
-    # corner-order layout, even then odd corners in the two-lane one), on
-    # rows of moves that leave the grid no entries and the cost _BIG
+    # valid rows the columns and weights of the nonzero corners (corner
+    # order in the corner-order layout, even then odd corners in the
+    # two-lane one), on rows of moves that leave the grid no entries and
+    # the cost _BIG
     for m in (get_metric(g1, dom41), _lifted_metric()):
         ref = _moves_per_corner(m)
         ncorner = 2 ** m.domain.dim
@@ -190,22 +191,21 @@ def test_moves_and_interpolation_match_corner_loop(g1, dom41):
         assert len(ref) == len(m._moves) == len(m._corner_order_moves())
         for (cost, op), (ccost, cop), (rc, ridx, rwts, rvalid) in zip(
                 m._moves, m._corner_order_moves(), ref):
+            stored = rvalid[:, None] & (rwts != 0.0)
+            lane_stored = stored[:, lanes]
             assert np.array_equal(cost, ccost)
             assert np.all(cost[rvalid] == rc)
             assert np.all(cost[~rvalid] == geometry._BIG)
             assert op.shape == (2 * len(rvalid), len(rvalid))
-            assert np.array_equal(np.diff(op.indptr),
-                                  np.repeat(rvalid * ncorner // 2, 2))
-            assert np.array_equal(op.indices.reshape(-1, ncorner),
-                                  ridx[rvalid][:, lanes])
-            assert np.array_equal(op.data.reshape(-1, ncorner),
-                                  rwts[rvalid][:, lanes])
+            assert np.array_equal(
+                np.diff(op.indptr),
+                lane_stored.reshape(-1, 2, ncorner // 2).sum(axis=2).ravel())
+            assert np.array_equal(op.indices, ridx[:, lanes][lane_stored])
+            assert np.array_equal(op.data, rwts[:, lanes][lane_stored])
             assert cop.shape == (len(rvalid), len(rvalid))
-            assert np.array_equal(np.diff(cop.indptr), rvalid * ncorner)
-            assert np.array_equal(cop.indices.reshape(-1, ncorner),
-                                  ridx[rvalid])
-            assert np.array_equal(cop.data.reshape(-1, ncorner),
-                                  rwts[rvalid])
+            assert np.array_equal(np.diff(cop.indptr), stored.sum(axis=1))
+            assert np.array_equal(cop.indices, ridx[stored])
+            assert np.array_equal(cop.data, rwts[stored])
     m = get_metric(g1, dom41)
     field = cached_distance_field(m, (0.3, -0.2))
     rng = np.random.default_rng(2)

@@ -1,9 +1,10 @@
 """Group lifts, calibration constants, fundamental solutions, cutoffs."""
 
+import dataclasses
+import itertools
 import threading
 import time
-
-import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from subelliptic import kernels, liftgroup, pool
 from subelliptic.domain import BoxDomain
-from subelliptic.fields import word_apply_sympy
+from subelliptic.fields import Poly, PolyVectorField, word_apply_sympy
 from subelliptic.liftgroup import (GrushinGamma, HeisenbergGamma,
                                    cutoff_family, lift_example3,
                                    lift_grushin1, normalization_constant,
@@ -27,6 +28,57 @@ coords = st.lists(st.floats(-2, 2, allow_nan=False, width=32),
 def test_verify_both_lifts(lift1):
     assert verify_lift(lift1).passed
     assert verify_lift(lift_example3()).passed
+
+
+def _law_with(k, terms):
+    law = list(lift_grushin1().law)
+    law[k] = Poly(6, terms)
+    return {"law": law}
+
+
+def _inverse_with(k, terms):
+    inv = list(lift_grushin1().inverse_map)
+    inv[k] = Poly(3, terms)
+    return {"inverse_map": inv}
+
+
+def _y2_with(comp1, comp2):
+    Y1, _ = lift_grushin1().fields
+    return {"fields": [Y1, PolyVectorField([Poly.zero(3), Poly(3, comp1),
+                                            Poly(3, comp2)])]}
+
+
+# one broken copy of the Heisenberg lift per claim: the law is
+# (u*v)_2 = u2 + v2 + u1 v3, the inverse (-u1, -u2 + u1 u3, -u3), and
+# Y2 = x1 d2 + d_xi (x1^1 in component 1, the constant 1 in component 2)
+_BROKEN = {
+    "law coefficient": ("group_axioms", _law_with(1, {
+        (0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0): 2,
+        (1, 0, 0, 0, 0, 1): 1})),
+    # off by 1e-12: below any floating-point tolerance, caught exactly
+    "law coefficient 1e-12": ("group_axioms", _law_with(1, {
+        (0, 1, 0, 0, 0, 0): 1,
+        (0, 0, 0, 0, 1, 0): 1 + Fraction(1, 10 ** 12),
+        (1, 0, 0, 0, 0, 1): 1})),
+    "inverse": ("group_axioms", _inverse_with(1, {(0, 1, 0): -1})),
+    "law weight": ("dilation_automorphism", _law_with(1, {
+        (0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0): 1,
+        (1, 0, 0, 0, 0, 1): 1, (1, 0, 0, 0, 0, 0): 1})),
+    "field weight": ("fields_homogeneous",
+                     _y2_with({(1, 0, 0): 1}, {(0, 0, 0): 1, (1, 0, 0): 1})),
+    "fiber in base": ("projects_to_base",
+                      _y2_with({(1, 0, 0): 1, (0, 0, 1): 1}, {(0, 0, 0): 1})),
+    "not left invariant": ("left_invariant",
+                           _y2_with({(1, 0, 0): 1}, {(0, 0, 0): 2})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN))
+def test_verify_lift_catches_each_broken_claim(name):
+    flag, change = _BROKEN[name]
+    report = verify_lift(dataclasses.replace(lift_grushin1(), **change))
+    assert getattr(report, flag) is False
+    assert not report.passed and report.details
 
 
 def test_engel_lift_dimensions():
