@@ -80,11 +80,11 @@ class SobolevReport:
 
 
 def _word_grids(system: HormanderSystem, f: GridFunction, k: int) -> dict:
-    """X_I f for the words I of length 1..k, shorter words first; each
-    word differentiates its prefix's grid, so (j, i) holds X_i X_j f."""
+    """X_I f for the words I of length 1..k, shorter words first, keyed in
+    operator order as ``apply_word_grid``: (i, j) holds X_i X_j f."""
     grids, frontier = {}, {(): f}
     for _ in range(k):
-        frontier = {word + (i,): apply_field_grid(system.fields[i], g)
+        frontier = {(i,) + word: apply_field_grid(system.fields[i], g)
                     for word, g in frontier.items()
                     for i in range(system.m)}
         grids.update(frontier)
@@ -181,7 +181,7 @@ def _L_from_words(op: DiscreteOperator, u: GridFunction,
             a = op.entry(i, j)
             if not np.any(a.values):
                 continue
-            second = words[(j, i)]
+            second = words[(i, j)]
             out += a.values * second.values
             margin = max(margin, second.margin, a.margin)
     return GridFunction(op.domain, out, margin)

@@ -375,14 +375,14 @@ def lie_closure(sys: HormanderSystem, max_depth: int | None = None) -> LieClosur
     return LieClosure(basis=basis, words=words, system=sys)
 
 
-def hormander_rank(closure: LieClosure, point, tol: float = 1e-10) -> int:
+def hormander_rank(closure: LieClosure, point) -> int:
     """Rank of the basis-value matrix at the point (relative singular values)."""
     pt = np.asarray(point, dtype=float)
     M = np.stack([X.value(pt) for X in closure.basis])
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > 1e-10 * s[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from .fields import grushin, word_apply_sympy
 from .geometry import (ClippedBallError, ball_measure, cached_distance_field,
                        get_metric)
 from .liftgroup import (CarnotLift, GrushinGamma, HeisenbergGamma, _B_SYMS,
-                        _H_SYMS, _graded_levels, _lifted_sums,
-                        _smoothstep_expr, base_operator_expr,
+                        _H_SYMS, _compiled_operator, _graded_levels,
+                        _lifted_sums, _midpoint_axes, _smoothstep_expr,
                         calibrate_equivalence, graded_nodes_aniso,
-                        normalization_constant)
+                        lift_grushin1, normalization_constant)
 
 # the one base system, so get_metric's per-system cache (metric and
 # distance fields) is shared by every call in this module
@@ -230,11 +230,6 @@ def surface_nodes(r: float) -> tuple:
     return u, w_surf, nu, grad_N
 
 
-def surface_integral(fn, r: float) -> float:
-    u, w, nu, _ = surface_nodes(r)
-    return float(np.sum(w * fn(u, nu)))
-
-
 def flux_constant(i: int, j: int, A=None, r: float = 1.0) -> float:
     """c_ij as the flux int_{||u||=r} (Y_j Gamma)(u) <Y_i(u), nu> dS.
 
@@ -242,72 +237,73 @@ def flux_constant(i: int, j: int, A=None, r: float = 1.0) -> float:
     cutoff-independence check.
     """
     tilde = HeisenbergGamma(A)
-
-    def integrand(u, nu):
-        Yi = tilde.lift.fields[i].value(u)
-        return tilde.word_value((j,), u) * np.einsum("ij,ij->i", Yi, nu)
-
-    return surface_integral(integrand, r)
+    u, w, nu, _ = surface_nodes(r)
+    Yi_nu = np.einsum("ij,ij->i", tilde.lift.fields[i].value(u), nu)
+    return float(np.sum(w * (tilde.word_value((j,), u) * Yi_nu)))
 
 
-def _shell_coarea(fn_vals_at, r0: float, r1: float) -> float:
-    """int_{r0 < ||v|| < r1} f dv via the co-area formula."""
-    xr, wr = np.polynomial.legendre.leggauss(16)
-    rs = 0.5 * (r1 - r0) * xr + 0.5 * (r1 + r0)
-    ws = 0.5 * (r1 - r0) * wr
-    total = 0.0
-    for r, w in zip(rs, ws):
-        u, w_surf, _, grad_N = surface_nodes(float(r))
-        total += w * float(np.sum(w_surf * fn_vals_at(u) / grad_N))
-    return total
-
-
-def shell_constant(i: int, j: int, A=None, r0: float = 0.5,
-                   r1: float = 1.0, profile: str = "quintic") -> float:
-    """c_ij as a collar volume integral of Y_i(omega(||v||) Y_j Gamma).
-
-    omega is a step rising from 0 at r0 to 1 at r1, so by the divergence
-    theorem this equals the boundary flux at r1; any C^1 ramp is
-    admissible, and evaluating with two different ones is the
-    cutoff-independence check.  The derivative is taken symbolically and
-    the integral by co-area.
-    """
-    tilde = HeisenbergGamma(A)
-    lift = tilde.lift
+@functools.cache
+def _ramp_words_fn(profile: str):
+    """The collar ramp omega and its Y-words of length 1, as one numpy
+    function of (x1, x2, x3, r0, r1); compiled once per profile."""
     x1, x2, x3 = _H_SYMS
-    N_expr = (x1 ** 4 + x2 ** 2 + x3 ** 4) ** sp.Rational(1, 4)
-    t = (N_expr - r0) / (r1 - r0)
+    r0, r1 = sp.symbols("r0 r1", positive=True)
+    t = ((x1 ** 4 + x2 ** 2 + x3 ** 4) ** sp.Rational(1, 4) - r0) / (r1 - r0)
     if profile == "quintic":
         omega = _smoothstep_expr(t)
     elif profile == "cosine":
         omega = (1 - sp.cos(sp.pi * sp.Min(sp.Max(t, 0), 1))) / 2
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    inner = omega * word_apply_sympy(lift, (j,), tilde.expr_unit, _H_SYMS)
-    expr = word_apply_sympy(lift, (i,), inner, _H_SYMS)
-    fn = sp.lambdify(_H_SYMS, expr, modules="numpy")
-    c0 = normalization_constant()
-
-    def vals(u):
-        return c0 * np.asarray(fn(u[:, 0], u[:, 1], u[:, 2]), dtype=float)
-
-    return _shell_coarea(vals, r0, r1)
+    return sp.lambdify((*_H_SYMS, r0, r1), [omega] + [word_apply_sympy(
+        lift_grushin1(), (k,), omega, _H_SYMS) for k in range(2)],
+        modules="numpy", cse=True)
 
 
-def cancellation_metric(i: int, j: int, A=None, r0: float = 0.5,
-                        r1: float = 1.0) -> float:
-    """|shell mean| / shell mean of |.| for the kernel Y_i Y_j Gamma."""
+def shell_constant(i: int, j: int, A=None, profile: str = "quintic") -> float:
+    """c_ij as a collar volume integral of Y_i(omega(||v||) Y_j Gamma).
+
+    omega is a step rising from 0 at r0 = 0.5 to 1 at r1 = 1, so by the
+    divergence theorem this equals the boundary flux at r1; any C^1 ramp
+    is admissible, and evaluating with two different ones is the
+    cutoff-independence check.  By the product rule the integrand is
+    (Y_i omega)(Y_j Gamma) + omega Y_i Y_j Gamma, so only omega is
+    differentiated symbolically; the integral is taken by co-area.
+    """
     tilde = HeisenbergGamma(A)
+    ramp = _ramp_words_fn(profile)
+    Yj, Yij = tilde.word_fn((j,)), tilde.word_fn((i, j))
+    c0 = normalization_constant()
+    r0, r1 = 0.5, 1.0
+    xr, wr = np.polynomial.legendre.leggauss(16)
+    rs = 0.5 * (r1 - r0) * xr + 0.5 * (r1 + r0)
+    ws = 0.5 * (r1 - r0) * wr
+    total = 0.0
+    for r, w in zip(rs, ws):
+        u, w_surf, _, grad_N = surface_nodes(float(r))
+        x = (u[:, 0], u[:, 1], u[:, 2])
+        omega, *d_omega = ramp(*x, r0, r1)
+        vals = c0 * (d_omega[i] * Yj(*x) + omega * Yij(*x))
+        total += w * float(np.sum(w_surf * vals / grad_N))
+    return total
 
-    def signed(u):
-        return tilde.word_value((i, j), u)
 
-    def absval(u):
-        return np.abs(signed(u))
+def _unit_shell_sums(i: int, j: int, A) -> tuple:
+    """Co-area shell integrals of K = Y_i Y_j Gamma and of |K| at norm 1.
 
-    num = abs(_shell_coarea(signed, r0, r1))
-    den = _shell_coarea(absval, r0, r1)
-    return num / den
+    K has degree -Q, so at norm r both are these values over r.
+    """
+    u, w_surf, _, grad_N = surface_nodes(1.0)
+    K = HeisenbergGamma(A).word_value((i, j), u)
+    return (float(np.sum(w_surf * K / grad_N)),
+            float(np.sum(w_surf * np.abs(K) / grad_N)))
+
+
+def cancellation_metric(i: int, j: int, A=None) -> float:
+    """|shell mean| / shell mean of |.| for the kernel Y_i Y_j Gamma; by
+    homogeneity the same on every shell and annulus."""
+    signed, absolute = _unit_shell_sums(i, j, A)
+    return abs(signed) / absolute
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +312,7 @@ def cancellation_metric(i: int, j: int, A=None, r0: float = 0.5,
 
 def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
                             eps: float = 0.1, R: float = 20.0,
-                            levels: int = 6, cells: int = 64) -> float:
+                            cells: int = 64) -> float:
     """Relative residual of X_i X_j u = T_{eps,R}(Lu) + c_ij Lu.
 
     The operator integral is evaluated in lifted coordinates: substituting
@@ -343,18 +339,14 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     if scale == 0.0:
         raise ValueError(f"X_{i} X_{j} u vanishes at every requested point; "
                          "the relative residual is undefined")
-    Amat = np.eye(2) if A is None else np.asarray(A, dtype=float)
-    a_syms = sp.symbols("a1:5", real=True)
-    F_fn = sp.lambdify(_B_SYMS + a_syms, base_operator_expr(
-        sp.Matrix(2, 2, a_syms), u_expr), "numpy", cse=True)
-    a_vals = tuple(float(a) for a in Amat.ravel())
+    F_fn = _compiled_operator(_BASE_SYSTEM, A, u_expr, _B_SYMS)
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
-    grid = _graded_kernel(kernel, levels, cells)
+    grid = _graded_kernel(kernel, cells)
     Tv = _lifted_sums(functools.partial(_kernel_levels, kernel, grid),
-                      lambda y1, y2, _: F_fn(y1, y2, *a_vals),
+                      lambda y1, y2, _: F_fn(y1, y2),
                       np.column_stack([xs, np.zeros(len(xs))]), len(grid[0]))
-    preds = Tv + cij * np.array([float(F_fn(*x, *a_vals)) for x in xs])
+    preds = Tv + cij * np.array([float(F_fn(*x)) for x in xs])
     return float(np.max(np.abs(preds - targets)) / scale)
 
 
@@ -542,16 +534,15 @@ def lifted_abs_integral(i: int, j: int, eps: float, R: float,
     homogeneity, so the radial integral is done in log r, where the
     integrand is the smooth cutoff profile times a constant.
     """
-    tilde = HeisenbergGamma(A)
-    profile = CutoffProfile(eps, R, calibrate_equivalence(tilde.lift).gamma2)
+    profile = CutoffProfile(eps, R,
+                            calibrate_equivalence(lift_grushin1()).gamma2)
     r_lo = eps / (2.0 * profile.gamma2)
     r_hi = profile.support_radius
     # r * (shell integral of |kernel| at norm r) is an r-independent
     # constant by homogeneity; evaluate it once on the unit shell, where
     # the star-shaped surface rule is accurate, then integrate the radial
     # profile in log r.
-    u, w_surf, _, grad_N = surface_nodes(1.0)
-    g1 = float(np.sum(w_surf * np.abs(tilde.word_value((i, j), u)) / grad_N))
+    g1 = _unit_shell_sums(i, j, A)[1]
     xg, wg = np.polynomial.legendre.leggauss(48)
     tmid = 0.5 * (math.log(r_hi) + math.log(r_lo))
     thalf = 0.5 * (math.log(r_hi) - math.log(r_lo))
@@ -591,7 +582,7 @@ def log_growth_grid(i: int, j: int, x, A=None) -> tuple:
 # the operator on grid functions
 # ---------------------------------------------------------------------------
 
-def _graded_kernel(kernel: TruncatedKernel, levels: int, cells: int) -> tuple:
+def _graded_kernel(kernel: TruncatedKernel, cells: int) -> tuple:
     """Base grid of the lifted T-cubature: (v0, w0, per_level, s0).
 
     The node sets are those of ``graded_nodes_aniso`` with half-widths
@@ -599,14 +590,23 @@ def _graded_kernel(kernel: TruncatedKernel, levels: int, cells: int) -> tuple:
     shrinks (4, 16, 4); s0 is ||v||^4 on the base grid, summed from its
     1-D axes in the order of ``_norm_quartic``.  ``_kernel_levels`` takes
     the nodes and their K(v) w from it.
+    The level count L is the least for which psi vanishes on level L + 1,
+    whose ||v||^4 are s0 4^(-4(L+1)); the nodes of level L inside level
+    L + 1's box have no larger ||v||, so any count from L up gives the
+    same sums.
     """
     Lam = kernel.profile.support_radius
-    half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
+    half = np.array([1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam])
     shape = (cells, 2 * cells, cells)
-    v0, w0, per_level = _graded_levels(half, shape, levels, (4.0, 16.0, 4.0))
-    g = v0.reshape(shape + (3,))
-    s0 = (g[:, :1, :1, 0] ** 4 + g[:1, :, :1, 1] ** 2
-          + g[:1, :1, :, 2] ** 4).ravel()
+    shrinks = np.array([4.0, 16.0, 4.0])
+    a1, a2, a3 = _midpoint_axes(half, np.array(shape))
+    s0 = (a1[:, None, None] ** 4 + a2[None, :, None] ** 2
+          + a3[None, None, :] ** 4).ravel()
+    s_max, s_in = float(s0.max()), kernel.profile._edges()[0]
+    levels = 0
+    while s_max * float(np.prod(shrinks ** -(levels + 1))) > s_in:
+        levels += 1
+    v0, w0, per_level = _graded_levels(half, shape, levels, shrinks)
     return v0, w0, per_level, s0
 
 
@@ -633,7 +633,7 @@ def _kernel_levels(kernel: TruncatedKernel, grid: tuple, block=slice(None)):
 
 
 def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
-                       levels: int = 4, cells: int = 16) -> np.ndarray:
+                       cells: int = 16) -> np.ndarray:
     """T f at the given points by graded quadrature in lifted coordinates.
 
     Substituting v = (y, eta)^{-1} (x, 0) moves the singularity to a fixed
@@ -653,7 +653,7 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
     form groups of one.
     """
     v1, v2, v3, kw = (np.concatenate(a) for a in zip(*_kernel_levels(
-        kernel, _graded_kernel(kernel, levels, cells))))
+        kernel, _graded_kernel(kernel, cells))))
     dom = f.domain
     h = dom.spacing
     c0, c1 = dom.counts

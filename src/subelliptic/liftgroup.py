@@ -398,12 +398,6 @@ class HeisenbergGamma:
         self.Si = np.linalg.inv(S)
         self.detS = float(np.linalg.det(S))
 
-    @property
-    def expr_unit(self) -> sp.Expr:
-        """Gamma_A (unnormalized) as a sympy expression in _H_SYMS."""
-        a0, t0, b0 = self._psi(*_H_SYMS)
-        return _gamma_unit_expr(a0, t0 + a0 * b0 / 2, b0) / self.detS ** 2
-
     def _psi(self, x1, x2, x3) -> tuple:
         """psi_A(u) in the (x1, t, x3) coordinates of the Gamma_I words."""
         Si = self.Si
@@ -429,13 +423,12 @@ class HeisenbergGamma:
         """Gamma at points u (..., 3)."""
         return self.word_value((), u)
 
-    def word_value(self, word, u, normalized: bool = True) -> np.ndarray:
+    def word_value(self, word, u) -> np.ndarray:
+        """Y-word derivative of the normalized Gamma_A at points u (..., 3)."""
         u = np.asarray(u, dtype=float)
         out = np.asarray(
             self.word_fn(word)(u[..., 0], u[..., 1], u[..., 2]), dtype=float)
-        if normalized:
-            out = out * normalization_constant()
-        return out
+        return out * normalization_constant()
 
 
 def _gaussian_bump(widths) -> sp.Expr:
@@ -443,24 +436,29 @@ def _gaussian_bump(widths) -> sp.Expr:
     return sp.exp(-sum((s / wi) ** 2 for s, wi in zip(_H_SYMS, widths)))
 
 
-def _operator_expr(system, A, expr: sp.Expr, syms) -> sp.Expr:
-    """sum_ij a_ij X_i X_j expr over the two fields of `system`.
+def _compiled_operator(system, A, expr: sp.Expr, syms):
+    """L_A u = sum_ij a_ij X_i X_j u over the two fields of `system`, with
+    u = expr, as a numpy function of syms; A None is the identity.
 
-    A may hold sympy symbols, so L_A can be compiled once for every matrix.
+    The coefficients are compiled as symbols, so the symbolic work depends
+    on u alone and A enters numerically.
     """
+    a_syms = sp.symbols("a1:5", real=True)
+    Asym = sp.Matrix(2, 2, a_syms)
     out = sp.Integer(0)
     for i in range(2):
         for j in range(2):
-            if A[i, j] != 0:
-                out += A[i, j] * word_apply_sympy(system, (i, j), expr, syms)
-    return out
+            out += Asym[i, j] * word_apply_sympy(system, (i, j), expr, syms)
+    fn = sp.lambdify(tuple(syms) + a_syms, out, modules="numpy", cse=True)
+    a = tuple(float(v) for v in np.ravel(np.eye(2) if A is None else A))
+    return lambda *x: fn(*x, *a)
 
 
-def _compiled_bump(system, A, expr: sp.Expr, syms) -> tuple:
-    """(L_A u, u) as numpy functions of syms, with u = expr."""
-    return (sp.lambdify(syms, _operator_expr(system, A, expr, syms),
-                        modules="numpy", cse=True),
-            sp.lambdify(syms, expr, modules="numpy"))
+def _midpoint_axes(half: np.ndarray, cells: np.ndarray) -> list:
+    """Per axis, the midpoints of `cells` equal cells on [-half, half]."""
+    step = 2 * half / cells
+    return [-half[k] + (np.arange(cells[k]) + 0.5) * step[k]
+            for k in range(half.size)]
 
 
 def _graded_levels(half_widths, cells_per_axis, levels: int,
@@ -488,8 +486,8 @@ def _graded_levels(half_widths, cells_per_axis, levels: int,
     dim = half.size
     cells = np.broadcast_to(np.asarray(cells_per_axis, dtype=int), (dim,))
     step = 2 * half / cells
-    axes = np.meshgrid(*[-half[k] + (np.arange(cells[k]) + 0.5) * step[k]
-                         for k in range(dim)], indexing="ij", sparse=True)
+    axes = np.meshgrid(*_midpoint_axes(half, cells), indexing="ij",
+                       sparse=True)
     v0 = np.empty(tuple(cells) + (dim,))
     for k, ax in enumerate(axes):
         v0[..., k] = ax
@@ -585,7 +583,8 @@ def reproduction_residual(gamma: HeisenbergGamma, bump_expr: sp.Expr,
     Substituting z = y^{-1} * x turns this into a convolution against a
     fixed singular kernel; the quadrature is graded around z = 0.
     """
-    Lu, u_fn = _compiled_bump(gamma.lift, gamma.A, bump_expr, _H_SYMS)
+    Lu = _compiled_operator(gamma.lift, gamma.A, bump_expr, _H_SYMS)
+    u_fn = sp.lambdify(_H_SYMS, bump_expr, modules="numpy")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     # compiled and calibrated here, before the cubature's workers start
     fn = gamma.word_fn(())
@@ -606,8 +605,9 @@ def normalization_constant() -> float:
     (``_convolution_integrals``).
     """
     gamma = HeisenbergGamma()
-    Lu, u_fn = _compiled_bump(gamma.lift, np.eye(2),
-                              _gaussian_bump((1.0, 1.5, 1.0)), _H_SYMS)
+    bump = _gaussian_bump((1.0, 1.5, 1.0))
+    Lu = _compiled_operator(gamma.lift, None, bump, _H_SYMS)
+    u_fn = sp.lambdify(_H_SYMS, bump, modules="numpy")
     xs = np.array([[0.0, 0.0, 0.0], [0.4, 0.1, -0.2], [-0.3, 0.25, 0.35],
                    [0.15, -0.3, 0.1]])
     integrals = _convolution_integrals(gamma.word_fn(()), Lu, xs)
@@ -717,16 +717,11 @@ class GrushinGamma:
 _B_SYMS = sp.symbols("y1 y2", real=True)
 
 
-def base_operator_expr(A: np.ndarray, expr: sp.Expr) -> sp.Expr:
-    """sum_ij a_ij X_i X_j applied to expr(y1, y2) for the grushin(1) pair."""
-    return _operator_expr(grushin(1), A, expr, _B_SYMS)
-
-
 def base_reproduction_residual(A, bump_expr: sp.Expr, xs) -> float:
     """Max relative error of u(x) = int Gamma_A(x; y) (L_A u)(y) dy on R^2."""
-    Amat = np.eye(2) if A is None else np.asarray(A, dtype=float)
     G = GrushinGamma(A)
-    Lu, u_fn = _compiled_bump(grushin(1), Amat, bump_expr, _B_SYMS)
+    Lu = _compiled_operator(grushin(1), A, bump_expr, _B_SYMS)
+    u_fn = sp.lambdify(_B_SYMS, bump_expr, modules="numpy")
     worst = 0.0
     for x in np.atleast_2d(np.asarray(xs, dtype=float)):
         ys, wts = graded_nodes_aniso(x, (6.0, 6.0), 80, 2, (4.0, 4.0))

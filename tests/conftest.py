@@ -99,6 +99,24 @@ def fib1(lift1):
     return liftgroup.calibrate_fiber_constants(lift1)
 
 
+def _transported_gamma_expr(A):
+    """Gamma_A built per matrix in sympy: Gamma_I composed with psi_A."""
+    from subelliptic import liftgroup
+    S = liftgroup.sqrt_spd(A)
+    Si = np.linalg.inv(S)
+    detS = float(np.linalg.det(S))
+    x1, x2, x3 = liftgroup._H_SYMS
+    a0 = Si[0, 0] * x1 + Si[0, 1] * x3
+    b0 = Si[1, 0] * x1 + Si[1, 1] * x3
+    t0 = (x2 - x1 * x3 / 2) / detS
+    return liftgroup._gamma_unit_expr(a0, t0 + a0 * b0 / 2, b0) / detS ** 2
+
+
+@pytest.fixture(scope="session")
+def transported_gamma_expr():
+    return _transported_gamma_expr
+
+
 @pytest.fixture(scope="session")
 def suite41(dom41, xs2):
     """Ten bump/oscillatory grid functions on the 41^2 grid."""

@@ -62,11 +62,20 @@ def test_kernel_cancellation():
                         "--i", "0", "--j", "0"]) == 0
 
 
-def test_kernel_bad_matrix_file(tmp_path):
+def test_kernel_vanishing_constant_passes():
+    # c_01 vanishes by symmetry; both quadratures give it to rounding
+    assert run_command(["kernel", "--op", "constant",
+                        "--i", "0", "--j", "1"]) == 0
+
+
+def test_kernel_bad_matrix_file(tmp_path, capsys):
+    # the kernels take 2x2 matrices only
     path = tmp_path / "A.json"
-    path.write_text(json.dumps({"matrix": [[1.0, 0.0]]}))
-    assert run_command(["kernel", "--op", "cancellation",
-                        "--matrix", str(path)]) == 2
+    for matrix in ([[1.0, 0.0]], [[1.0]], np.eye(3).tolist()):
+        path.write_text(json.dumps({"matrix": matrix}))
+        assert run_command(["kernel", "--op", "cancellation",
+                            "--matrix", str(path)]) == 2
+        assert "matrix must be 2x2" in capsys.readouterr().err
 
 
 def test_kernel_index_out_of_range_is_usage_error(capsys):
@@ -135,11 +144,15 @@ def test_apriori_identity_sweep(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_apriori_bad_coeffs(tmp_path):
+def test_apriori_bad_coeffs(tmp_path, capsys):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"nu": 0.5, "entries": {"0": "1"}}))
-    assert run_command(["apriori", "--name", "grushin1", "--grid", "41",
-                        "--coeffs", str(path)]) == 2
+    for key, err in (("0", "not enough values"),
+                     ("0,5", "indices must lie in 0..1"),
+                     ("-1,0", "indices must lie in 0..1")):
+        path.write_text(json.dumps({"nu": 0.5, "entries": {key: "1"}}))
+        assert run_command(["apriori", "--name", "grushin1", "--grid", "41",
+                            "--coeffs", str(path)]) == 2
+        assert err in capsys.readouterr().err
 
 
 def test_apriori_negative_order_is_config_error(capsys):

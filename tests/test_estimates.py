@@ -181,6 +181,15 @@ def test_ratios_differentiate_once_per_word(monkeypatch, g1, dom41, xs2):
     assert len(calls) == 6         # 2 first- and 4 second-order words
 
 
+def test_word_norms_are_keyed_in_operator_order(g1, dom41, xs2):
+    # (i, j) holds ||X_i X_j f||, the word order of apply_word_grid
+    f = grid_from_expr(dom41, es.bump_expr(xs2, (0.6, 0.7)), xs2)
+    rep = sobolev_norm(g1, f, 3, 2.0)
+    assert len(rep.word_norms) == 2 + 4 + 8
+    for w, norm in rep.word_norms.items():
+        assert norm == apply_word_grid(g1, w, f).lp_norm(2.0)
+
+
 def test_vmo_style_coefficients_accepted(g1, dom41, xs2):
     # diagonal 1 + amp * (sin x1, cos x2): sin x1 sweeps [-1, 1] on the
     # box, so the eigenvalues stay within [nu, 1/nu] only if

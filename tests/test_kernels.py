@@ -1,11 +1,14 @@
 """Truncated singular kernels, cancellation constants, operator action."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from subelliptic import kernels
+from subelliptic import kernels, liftgroup
 from subelliptic.domain import BoxDomain, GridFunction
+from subelliptic.fields import word_apply_sympy
 from subelliptic.geometry import ClippedBallError
 from subelliptic.kernels import (CutoffProfile, TruncatedKernel,
                                  apply_T_quadrature, base_shell_integral,
@@ -76,6 +79,51 @@ def test_flux_constant_radius_independent():
     c1 = flux_constant(0, 1, r=1.0)
     c2 = flux_constant(0, 1, r=0.7)
     assert c1 == pytest.approx(c2, rel=1e-2, abs=1e-10)
+
+
+def _shell_constant_per_matrix(i, j, A, gamma_expr):
+    """shell_constant as formerly built: Y_i(omega Y_j Gamma_A) differentiated
+    in sympy for the matrix, then the co-area over the collar [0.5, 1]."""
+    us = liftgroup._H_SYMS
+    lift = liftgroup.lift_grushin1()
+    x1, x2, x3 = us
+    N = (x1 ** 4 + x2 ** 2 + x3 ** 4) ** sp.Rational(1, 4)
+    omega = liftgroup._smoothstep_expr((N - 0.5) / (1.0 - 0.5))
+    inner = omega * word_apply_sympy(lift, (j,), gamma_expr(A), us)
+    fn = sp.lambdify(us, word_apply_sympy(lift, (i,), inner, us), "numpy")
+    c0 = liftgroup.normalization_constant()
+    xr, wr = np.polynomial.legendre.leggauss(16)
+    total = 0.0
+    for r, w in zip(0.25 * xr + 0.75, 0.25 * wr):
+        u, w_surf, _, grad_N = kernels.surface_nodes(float(r))
+        vals = c0 * np.asarray(fn(u[:, 0], u[:, 1], u[:, 2]), dtype=float)
+        total += w * float(np.sum(w_surf * vals / grad_N))
+    return total
+
+
+@pytest.mark.parametrize("case", ["identity", "spd0", "spd1"])
+def test_shell_constant_matches_per_matrix_sympy(case, transported_gamma_expr):
+    # the product rule through psi_A must reproduce the per-matrix sympy
+    # construction; c_01 and c_10 vanish by symmetry at the identity
+    if case == "identity":
+        A, entries = np.eye(2), [(0, 0), (1, 1)]
+    else:
+        A = liftgroup.spd_sweep(2)[int(case[-1])]
+        entries = list(itertools.product(range(2), repeat=2))
+    for i, j in entries:
+        ref = _shell_constant_per_matrix(i, j, A, transported_gamma_expr)
+        assert shell_constant(i, j, A) == pytest.approx(ref, rel=1e-12)
+
+
+def test_shell_constant_new_matrix_needs_no_symbolic_work(monkeypatch):
+    A1, A2 = liftgroup.spd_sweep(2)
+    shell_constant(0, 1, A1)
+    compiles = []
+    lambdify = sp.lambdify
+    monkeypatch.setattr(sp, "lambdify",
+                        lambda *a, **k: compiles.append(a) or lambdify(*a, **k))
+    assert np.isfinite(shell_constant(0, 1, A2))
+    assert compiles == []
 
 
 def test_shell_matches_flux_and_profile_free():
@@ -261,8 +309,10 @@ def test_graded_levels_are_exact_dilates(args):
     assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
-def _lifted_nodes(kernel, levels, cells):
-    """All graded nodes and K(v) w, every level evaluated directly."""
+def _lifted_nodes(kernel, cells):
+    """All graded nodes and K(v) w, every level evaluated directly, at the
+    library's level count."""
+    levels = len(kernels._graded_kernel(kernel, cells)[2]) - 1
     Lam = kernel.profile.support_radius
     half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
     vs, wts = _graded_nodes_direct((0.0, 0.0, 0.0), half,
@@ -273,15 +323,39 @@ def _lifted_nodes(kernel, levels, cells):
     return vs, Kv * kernel.profile(vs) * wts
 
 
-def _apply_T_gather(kernel, f, pts, levels=4, cells=16):
+def _apply_T_gather(kernel, f, pts, cells=16):
     """T f as one gather over points x nodes."""
-    vs, Kv = _lifted_nodes(kernel, levels, cells)
+    vs, Kv = _lifted_nodes(kernel, cells)
     x1 = pts[:, 0][:, None]
     x2 = pts[:, 1][:, None]
     y1 = x1 - vs[None, :, 0]
     y2 = x2 - vs[None, :, 1] + vs[None, :, 0] * vs[None, :, 2] \
         - x1 * vs[None, :, 2]
     return _interp2_flat(f, y1, y2) @ Kv
+
+
+@pytest.mark.parametrize("eps, R, cells", [
+    # the benchmark's T-query pairs, then the representation defaults
+    (0.02, 0.5, 16), (0.05, 1.0, 16), (0.1, 2.0, 16), (0.05, 2.0, 16),
+    (0.1, 20.0, 64)])
+def test_level_count_from_the_cutoff(eps, R, cells):
+    # level L keeps a node inside the cutoff's support, level L + 1 would
+    # keep none, and one more level leaves the nonzero nodes as they are
+    k = TruncatedKernel(0, 1, eps, R)
+    grid = kernels._graded_kernel(k, cells)
+    _, _, per_level, s0 = grid
+    scale, keep = per_level[-1]
+    shrinks = np.array([4.0, 16.0, 4.0])
+    assert np.any(k.profile.radial_quartic(s0[keep] * np.prod(scale)) != 0)
+    assert np.all(k.profile.radial_quartic(s0 * np.prod(scale / shrinks))
+                  == 0)
+    Lam = k.profile.support_radius
+    more = liftgroup._graded_levels(
+        (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam),
+        (cells, 2 * cells, cells), len(per_level), shrinks)[2]
+    got, ref = ([np.concatenate(c) for c in zip(*kernels._kernel_levels(
+        k, g))] for g in (grid, grid[:2] + (more, s0)))
+    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 def test_weight_tables_match_gather():
@@ -305,20 +379,21 @@ def test_weight_tables_match_gather():
 def test_representation_levels_by_homogeneity(lift1):
     # reusing K w across the dilated levels must match evaluating the
     # kernel on every level and lifting with the Poly group law
-    from subelliptic.fields import grushin, word_apply_sympy
-    from subelliptic.liftgroup import base_operator_expr
+    from subelliptic.fields import grushin
     y1, y2 = kernels._B_SYMS
     u = sp.exp(-(y1 ** 2 + 2 * y2 ** 2)) * sp.cos(y1)
     A = np.array([[1.2, -0.3], [-0.3, 0.9]])
     xs = np.array([(0.3, 0.2), (-0.4, 0.1)])
-    i, j, eps, R, levels, cells = 0, 1, 0.2, 10.0, 3, 16
+    i, j, eps, R, cells = 0, 1, 0.2, 10.0, 16
     got = kernels.representation_residual(i, j, A, u, xs, eps=eps, R=R,
-                                          levels=levels, cells=cells)
-    F_fn = sp.lambdify(kernels._B_SYMS, base_operator_expr(A, u), "numpy")
+                                          cells=cells)
+    F_fn = sp.lambdify(kernels._B_SYMS, sum(
+        A[w] * word_apply_sympy(grushin(1), w, u, kernels._B_SYMS)
+        for w in itertools.product(range(2), repeat=2)), "numpy")
     target_fn = sp.lambdify(kernels._B_SYMS, word_apply_sympy(
         grushin(1), (i, j), u, kernels._B_SYMS), "numpy")
     k = TruncatedKernel(i, j, eps, R, A)
-    vs, Kw = _lifted_nodes(k, levels, cells)
+    vs, Kw = _lifted_nodes(k, cells)
     vinv = lift1.inverse(vs)
     cij = flux_constant(i, j, A)
     preds, targets = [], []
@@ -342,9 +417,9 @@ def test_representation_blocks_independent_of_workers(monkeypatch, cells):
     u = sp.exp(-(y1 ** 2 + 2 * y2 ** 2)) * sp.cos(y1)
     A = np.array([[1.2, -0.3], [-0.3, 0.9]])
     xs = np.array([(0.3, 0.2), (-0.4, 0.1)])
-    i, j, eps, R, levels = 0, 1, 0.2, 10.0, 3
+    i, j, eps, R = 0, 1, 0.2, 10.0
     args = (i, j, A, u, xs)
-    kw = dict(eps=eps, R=R, levels=levels, cells=cells)
+    kw = dict(eps=eps, R=R, cells=cells)
     monkeypatch.setattr(pool, "_WORKERS", max(pool._WORKERS, 2))
     many = kernels.representation_residual(*args, **kw)
     monkeypatch.setattr(pool, "_WORKERS", 1)
@@ -352,12 +427,15 @@ def test_representation_blocks_independent_of_workers(monkeypatch, cells):
     assert one == many
     # oracle: every graded node evaluated directly and summed in one shot
     a_syms = sp.symbols("a1:5", real=True)
-    F_fn = sp.lambdify(kernels._B_SYMS + a_syms, kernels.base_operator_expr(
-        sp.Matrix(2, 2, a_syms), u), "numpy", cse=True)
+    F_fn = sp.lambdify(kernels._B_SYMS + a_syms, sum(
+        a * kernels.word_apply_sympy(kernels._BASE_SYSTEM, w, u,
+                                     kernels._B_SYMS)
+        for a, w in zip(a_syms, itertools.product(range(2), repeat=2))),
+        "numpy", cse=True)
     target_fn = sp.lambdify(kernels._B_SYMS, kernels.word_apply_sympy(
         kernels._BASE_SYSTEM, (i, j), u, kernels._B_SYMS), "numpy")
     k = TruncatedKernel(i, j, eps, R, A)
-    vs, Kw = _lifted_nodes(k, levels, cells)
+    vs, Kw = _lifted_nodes(k, cells)
     cij = flux_constant(i, j, A)
     preds = np.array([
         np.sum(Kw * F_fn(x1 - vs[:, 0], x2 - vs[:, 1] + vs[:, 0] * vs[:, 2]
@@ -376,7 +454,7 @@ def test_representation_rejects_vanishing_target():
     with pytest.raises(ValueError, match="vanishes"):
         kernels.representation_residual(0, 1, None, u,
                                         [[0.2, 0.0], [-0.3, 0.0]], eps=0.2,
-                                        R=10.0, levels=3, cells=16)
+                                        R=10.0, cells=16)
 
 
 def test_new_matrix_needs_no_symbolic_work(monkeypatch):

@@ -122,12 +122,11 @@ def test_sqrt_spd():
         sqrt_spd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_gamma_annihilated_by_operator():
+def test_gamma_annihilated_by_operator(lift1):
     # the sublaplacian of the candidate kernel vanishes off the pole
-    g = HeisenbergGamma()
-    lift = g.lift
     us = liftgroup._H_SYMS
-    L = sum(word_apply_sympy(lift, (j, j), g.expr_unit, us) for j in range(2))
+    gamma = liftgroup._gamma_unit_expr(*us)
+    L = sum(word_apply_sympy(lift1, (j, j), gamma, us) for j in range(2))
     pts = [(0.3, 0.1, -0.2), (1.0, -0.5, 0.4), (-0.7, 0.2, 0.9)]
     fn = sp.lambdify(us, sp.simplify(L), "numpy")
     for p in pts:
@@ -143,19 +142,8 @@ def test_gamma_homogeneity_degree():
     assert np.allclose(g.value(v), lam ** -2 * g.value(u), rtol=1e-10)
 
 
-def _transported_gamma_expr(A):
-    """Gamma_A built per matrix in sympy: Gamma_I composed with psi_A."""
-    S = sqrt_spd(A)
-    Si = np.linalg.inv(S)
-    detS = float(np.linalg.det(S))
-    x1, x2, x3 = liftgroup._H_SYMS
-    a0 = Si[0, 0] * x1 + Si[0, 1] * x3
-    b0 = Si[1, 0] * x1 + Si[1, 1] * x3
-    t0 = (x2 - x1 * x3 / 2) / detS
-    return liftgroup._gamma_unit_expr(a0, t0 + a0 * b0 / 2, b0) / detS ** 2
-
-
-def test_automorphism_words_match_per_matrix_sympy(lift1):
+def test_automorphism_words_match_per_matrix_sympy(lift1,
+                                                   transported_gamma_expr):
     # HeisenbergGamma(A) evaluates Y-words of Gamma_A through psi_A and the
     # compiled Gamma_I words; differentiating the transported Gamma_A
     # directly in sympy must give the same values
@@ -165,12 +153,12 @@ def test_automorphism_words_match_per_matrix_sympy(lift1):
     words = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     for A in spd_sweep(3):
         g = HeisenbergGamma(A)
-        expr = _transported_gamma_expr(A)
+        expr = transported_gamma_expr(A)
         for word in words:
             ref = sp.lambdify(us, word_apply_sympy(lift1, word, expr, us),
                               "numpy")(
                 u[:, 0], u[:, 1], u[:, 2])
-            got = g.word_value(word, u, normalized=False)
+            got = g.word_fn(word)(u[:, 0], u[:, 1], u[:, 2])
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
