@@ -36,6 +36,12 @@ def _load_system(args) -> fields.HormanderSystem:
                           f"{', '.join(fields.catalog_names())}") from exc
 
 
+def _check_exponent(p: float) -> None:
+    # the maximal and a-priori estimates hold for 1 < p < infinity
+    if not 1.0 < p < float("inf"):
+        raise ConfigError(f"--p must satisfy 1 < p < inf, got {p}")
+
+
 def _box_domain(args, dim: int) -> BoxDomain:
     half = float(args.box)
     return BoxDomain((-half,) * dim, (half,) * dim, (args.grid,) * dim)
@@ -58,6 +64,8 @@ def cmd_system(args) -> int:
 
 
 def cmd_geom(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     sys_ = _load_system(args)
     dom = _box_domain(args, sys_.n)
     config = {"system": sys_.name, "grid": args.grid, "box": args.box,
@@ -96,6 +104,12 @@ def cmd_geom(args) -> int:
             rep.add(check="doubling", label=f"r={r}", value=ratio,
                     bound=2.0 ** sys_.q, ok=int(good))
     _write(rep, args.out, "geom")
+    checked = {row[0] for row in rep.rows}          # the "check" column
+    for check in ("homogeneity", "doubling"):
+        if args.check in (check, "all") and check not in checked:
+            ok = False
+            print(f"geom {check}: no rows, so no evidence (every sample "
+                  "unresolved or every ball clipped by the box)")
     print(f"geom {args.check} on {sys_.name}: {len(rep.rows)} rows "
           f"-> {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -150,6 +164,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_maximal(args) -> int:
+    _check_exponent(args.p)
     sys_ = _load_system(args)
     f = read_grid(args.f)
     fam = maximal.build_ball_family(sys_, f.domain, args.r0,
@@ -183,6 +198,7 @@ def cmd_maximal(args) -> int:
 def cmd_apriori(args) -> int:
     if args.k < 0:
         raise ConfigError(f"--k must be at least 0, got {args.k}")
+    _check_exponent(args.p)
     sys_ = _load_system(args)
     dom = _box_domain(args, sys_.n)
     xs = sp.symbols(f"x1:{sys_.n + 1}")

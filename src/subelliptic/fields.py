@@ -290,10 +290,6 @@ class HormanderSystem:
     def q(self) -> int:
         return self.dilations.homogeneous_dimension
 
-    def field_values(self, x: np.ndarray) -> np.ndarray:
-        """Shape (..., m, n)."""
-        return np.stack([X.value(x) for X in self.fields], axis=-2)
-
 
 @dataclass
 class HomogeneityReport:

@@ -21,6 +21,7 @@ from .domain import BoxDomain
 from .fields import HormanderSystem
 
 _BIG = 1e18
+_TOLERANCE = 1e-9        # sweep convergence threshold
 
 
 class ClippedBallError(RuntimeError):
@@ -35,24 +36,12 @@ class UnresolvedDistanceError(RuntimeError):
     """Value iteration did not converge within its sweep budget."""
 
 
-@dataclass(frozen=True)
-class CCGraphConfig:
-    """Controls for the flow-move scheme underlying the discrete CC metric."""
-
-    tau: float | None = None          # time per control segment; None = 1.5 h
-    tolerance: float = 1e-9           # sweep convergence threshold
-
-    def __post_init__(self):
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
-
-
-def _rk4_flow(system: HormanderSystem, a: np.ndarray, pts: np.ndarray,
+def _rk4_flow(fields, a: np.ndarray, pts: np.ndarray,
               tau: float) -> np.ndarray:
     """Integrate x' = sum_j a_j X_j(x) for time tau from each point."""
 
     def F(x):
-        vals = system.field_values(x)          # (..., m, n)
+        vals = np.stack([X.value(x) for X in fields], axis=-2)  # (..., m, n)
         return np.einsum("...mn,m->...n", vals, a)
 
     x = pts
@@ -96,22 +85,21 @@ def _corner_weights(domain: BoxDomain, x: np.ndarray) -> tuple:
 class CCMetric:
     """Discrete CC metric on a box grid via Bellman value iteration.
 
-    Each control move is one sparse operator P with (P d)[p] the
+    It reads only the fields of `system` (a HormanderSystem or a lift) and
+    the box; each control segment lasts tau = 1.5 min h.  Each control
+    move is one sparse operator P with (P d)[p] the
     multilinear interpolation of d at the move's endpoint from p, and one
     cost per row: the move's time for rows whose endpoint cell lies in the
     grid, _BIG for the empty rows of moves that leave it.  A sweep is then
     d <- min(d, min over moves of cost + P d).
     """
 
-    def __init__(self, system: HormanderSystem, domain: BoxDomain,
-                 cfg: CCGraphConfig = CCGraphConfig()):
-        if domain.dim != system.n:
+    def __init__(self, system, domain: BoxDomain):
+        self.fields = system.fields
+        if domain.dim != self.fields[0].n:
             raise ValueError("domain dimension differs from system dimension")
-        self.system = system
         self.domain = domain
-        self.cfg = cfg
-        self.tau = cfg.tau if cfg.tau is not None else \
-            1.5 * float(np.min(domain.spacing))
+        self.tau = 1.5 * float(np.min(domain.spacing))
         self._moves = self._build_moves()
         self._corner_moves = None
         self._field_cache = {}           # see cached_distance_field
@@ -125,19 +113,19 @@ class CCMetric:
         Corners of weight 0 are not stored: d is finite, so they would
         add 0 to a lane sum.
         """
-        dom, sys_, tau = self.domain, self.system, self.tau
+        dom, fields, tau = self.domain, self.fields, self.tau
         pts = dom.points()
         npts, counts = dom.num_points, np.array(dom.counts)
         ncorner = 2 ** dom.dim
         lanes = np.r_[0:ncorner:2, 1:ncorner:2]
         levels = np.linspace(-1.0, 1.0, 5)
         moves = []
-        for combo in itertools.product(levels, repeat=sys_.m):
+        for combo in itertools.product(levels, repeat=len(fields)):
             a = np.array(combo)
             amax = np.max(np.abs(a))
             if amax == 0.0:
                 continue
-            end = _rk4_flow(sys_, a, pts, tau)
+            end = _rk4_flow(fields, a, pts, tau)
             idx, wts, cell = _corner_weights(dom, end)
             # a move whose endpoint cell leaves the grid is not taken
             valid = np.all((cell >= 0) & (cell <= counts - 2), axis=1)
@@ -201,7 +189,7 @@ class CCMetric:
         diameter = float(np.linalg.norm(
             np.array(self.domain.upper) - np.array(self.domain.lower)))
         max_sweeps = int(20 * diameter / self.tau) + 100
-        tol = self.cfg.tolerance
+        tol = _TOLERANCE
         out = np.empty((nsrc, npts))
         live = np.arange(nsrc)
         d_new = d.copy()
@@ -245,14 +233,12 @@ class CCMetric:
         return float(sum(w * v for w, v in zip(wts, field_flat[idx])))
 
 
-def get_metric(system: HormanderSystem, domain: BoxDomain,
-               cfg: CCGraphConfig = CCGraphConfig()) -> CCMetric:
-    """Per-system memoized metric construction."""
+def get_metric(system: HormanderSystem, domain: BoxDomain) -> CCMetric:
+    """Per-system memoized metric construction, keyed by the box."""
     cache = system.__dict__.setdefault("_metric_cache", {})
-    key = (domain, cfg)
-    if key not in cache:
-        cache[key] = CCMetric(system, domain, cfg)
-    return cache[key]
+    if domain not in cache:
+        cache[domain] = CCMetric(system, domain)
+    return cache[domain]
 
 
 _FIELD_CACHE_LIMIT = 64
@@ -288,8 +274,7 @@ def cc_distance(system: HormanderSystem, x, y,
     if not (domain.contains(x) and domain.contains(y)):
         return DistanceResult(float("inf"), float("inf"), "unresolved")
     m_coarse = get_metric(system, domain)
-    m_fine = get_metric(system, domain.refine(2),
-                        CCGraphConfig(tau=m_coarse.tau / 2.0))
+    m_fine = get_metric(system, domain.refine(2))
     d_c = m_coarse.interpolate(cached_distance_field(m_coarse, x), y)
     d_f = m_fine.interpolate(cached_distance_field(m_fine, x), y)
     if d_f > _BIG / 2:

@@ -261,26 +261,6 @@ def verify_lift(lift: CarnotLift) -> LiftReport:
                       projects_to_base=pr, details=details)
 
 
-def control_system(lift: CarnotLift):
-    """The lifted fields as a control system usable by the CC metric code.
-
-    The lifted weights are not sorted, so this bypasses the base-system
-    container and only exposes what the metric needs.
-    """
-
-    class _Lifted:
-        name = lift.name + "_control"
-        fields = lift.fields
-        n = lift.N
-        m = len(lift.fields)
-
-        @staticmethod
-        def field_values(x):
-            return np.stack([Y.value(x) for Y in lift.fields], axis=-2)
-
-    return _Lifted()
-
-
 # ---------------------------------------------------------------------------
 # norm / distance equivalence constants
 # ---------------------------------------------------------------------------
@@ -300,9 +280,8 @@ def calibrate_equivalence(lift: CarnotLift) -> EquivalenceConstants:
     The measured distance is clipped to the box, which can only overestimate,
     so gamma2 is padded up and gamma1 down by the discretization error.
     """
-    sys_ = control_system(lift)
     dom = BoxDomain((-1.3,) * lift.N, (1.3,) * lift.N, (41,) * lift.N)
-    metric = CCMetric(sys_, dom)
+    metric = CCMetric(lift, dom)
     dist = metric.distance_field(np.zeros(lift.N))
     pts = dom.points()
     norms = lift.hom_norm(pts)
@@ -440,17 +419,17 @@ def _compiled_operator(system, A, expr: sp.Expr, syms):
     """L_A u = sum_ij a_ij X_i X_j u over the two fields of `system`, with
     u = expr, as a numpy function of syms; A None is the identity.
 
-    The coefficients are compiled as symbols, so the symbolic work depends
-    on u alone and A enters numerically.
+    Only the words with a_ij != 0 are summed, each with its coefficient as
+    a symbol, so the symbolic work depends on u and the zero pattern of A
+    alone, and A enters numerically.
     """
-    a_syms = sp.symbols("a1:5", real=True)
-    Asym = sp.Matrix(2, 2, a_syms)
-    out = sp.Integer(0)
-    for i in range(2):
-        for j in range(2):
-            out += Asym[i, j] * word_apply_sympy(system, (i, j), expr, syms)
-    fn = sp.lambdify(tuple(syms) + a_syms, out, modules="numpy", cse=True)
     a = tuple(float(v) for v in np.ravel(np.eye(2) if A is None else A))
+    a_syms = sp.symbols("a1:5", real=True)
+    out = sp.Integer(0)
+    for k, word in enumerate(itertools.product(range(2), repeat=2)):
+        if a[k] != 0.0:
+            out += a_syms[k] * word_apply_sympy(system, word, expr, syms)
+    fn = sp.lambdify(tuple(syms) + a_syms, out, modules="numpy", cse=True)
     return lambda *x: fn(*x, *a)
 
 
@@ -766,7 +745,7 @@ def calibrate_fiber_constants(lift: CarnotLift) -> FiberConstants:
     n, N = lift.base.n, lift.N
     radii, floor = (0.35, 0.45, 0.55), 0.05
     dom = BoxDomain((-1.7,) * N, (1.7,) * N, (41,) * N)
-    metric = CCMetric(control_system(lift), dom)
+    metric = CCMetric(lift, dom)
     dgrid = metric.distance_field(np.zeros(N)).reshape(dom.counts)
     fiber_axes = tuple(range(n, N))
     fiber_cell = float(np.prod(dom.spacing[n:]))

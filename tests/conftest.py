@@ -29,7 +29,7 @@ def _unretired_fields(metric, sources):
             np.minimum(d_new, cand, out=d_new)
         delta = np.max(d - d_new)
         d, d_new = d_new, d
-        if delta < metric.cfg.tolerance:
+        if delta < geometry._TOLERANCE:
             return np.ascontiguousarray(d.T)
         d_new[...] = d
 

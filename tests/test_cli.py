@@ -52,6 +52,20 @@ def test_geom_doubling_csv(tmp_path):
     assert len(hashes) == 1
 
 
+def test_geom_without_rows_fails(capsys):
+    # every doubling ball reaches the faces of a 0.5 box, so no row
+    # carries evidence
+    assert run_command(["geom", "--name", "grushin1", "--check", "doubling",
+                        "--box", "0.5", "--grid", "21"]) == 1
+    assert "geom doubling: no rows" in capsys.readouterr().out
+
+
+def test_geom_no_samples_is_config_error(capsys):
+    assert run_command(["geom", "--name", "grushin1", "--check",
+                        "homogeneity", "--samples", "0"]) == 2
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
 def test_lift_check():
     assert run_command(["lift", "--name", "grushin1"]) == 0
     assert run_command(["lift", "--name", "nosuch"]) == 2
@@ -130,6 +144,22 @@ def test_maximal_coverage_gap_is_config_error(tmp_path, capsys):
 def test_maximal_missing_grid_file():
     assert run_command(["maximal", "--op", "hl", "--f", "/nonexistent.hvfg",
                         "--name", "grushin1"]) == 2
+
+
+def test_exponent_outside_the_paper_range_is_config_error(tmp_path, capsys):
+    # the maximal and a-priori estimates hold for 1 < p < inf
+    src = tmp_path / "f.hvfg"
+    dom = BoxDomain((-2, -2), (2, 2), (21, 21))
+    write_grid_binary(src, GridFunction(dom, np.ones(dom.counts)))
+    for p in ("0", "-2", "1", "inf"):
+        for argv in (["maximal", "--op", "fs", "--f", str(src),
+                      "--name", "grushin1", "--r0", "0.8", "--stride", "2",
+                      "--p", p],
+                     ["apriori", "--name", "grushin1", "--grid", "21",
+                      "--p", p]):
+            assert run_command(argv) == 2
+            assert f"--p must satisfy 1 < p < inf, got {float(p)}" in \
+                capsys.readouterr().err
 
 
 def test_apriori_identity_sweep(tmp_path):

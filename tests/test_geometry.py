@@ -6,9 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subelliptic
-from subelliptic import geometry
+from subelliptic import fields, geometry
 from subelliptic.domain import BoxDomain
 from subelliptic.geometry import (ClippedBallError, ball_volume, cc_distance,
                                   cached_distance_field, get_metric,
@@ -61,6 +62,36 @@ def test_outside_domain_unresolved(g1, dom41):
     res = cc_distance(g1, (0, 0), (5, 0), dom41)
     assert res.status == "unresolved"
     assert res.value == float("inf")
+
+
+def test_cc_distance_fine_metric_is_the_refined_box_metric():
+    # the fine level is the cached metric of the refined box, so it shares
+    # one cache with every other caller of that box
+    sys_ = fields.grushin(1)
+    dom = BoxDomain((-1, -1), (1, 1), (11, 11))
+    x, y = np.array([0.0, 0.0]), np.array([0.4, 0.2])
+    res = cc_distance(sys_, x, y, dom)
+    fine = get_metric(sys_, dom.refine(2))
+    assert set(sys_._metric_cache) == {dom, dom.refine(2)}
+    field = fine._field_cache[fine.domain.flat_index_of(x)]
+    assert res.value == fine.interpolate(field, y)
+    assert res.error_bound == \
+        2.0 * abs(res.coarse_value - res.value) + 2.0 * fine.tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+    st.lists(st.floats(-50, 50), min_size=dim, max_size=dim),
+    st.lists(st.floats(1e-3, 100), min_size=dim, max_size=dim),
+    st.lists(st.integers(3, 60), min_size=dim, max_size=dim))))
+def test_refined_box_halves_tau_bitwise(box):
+    # tau = 1.5 min h of the refined box is bitwise half the coarse tau,
+    # the value cc_distance used to pass for its fine level
+    lower, width, counts = box
+    dom = BoxDomain(tuple(lower), tuple(l + w for l, w in zip(lower, width)),
+                    tuple(counts))
+    tau = 1.5 * float(np.min(dom.spacing))
+    assert 1.5 * float(np.min(dom.refine(2).spacing)) == tau / 2.0
 
 
 def test_ball_volume_scaling(g1, dom41):
@@ -134,11 +165,11 @@ def _moves_per_corner(metric):
     offsets = list(itertools.product((0, 1), repeat=dom.dim))
     levels = np.linspace(-1.0, 1.0, 5)
     moves = []
-    for combo in itertools.product(levels, repeat=metric.system.m):
+    for combo in itertools.product(levels, repeat=len(metric.fields)):
         a = np.array(combo)
         if np.max(np.abs(a)) == 0.0:
             continue
-        end = geometry._rk4_flow(metric.system, a, pts, metric.tau)
+        end = geometry._rk4_flow(metric.fields, a, pts, metric.tau)
         rel = (end - lower) / h
         base = np.floor(rel).astype(int)
         frac = rel - base
@@ -173,8 +204,8 @@ def _interpolate_per_corner(dom, field_flat, x):
 
 
 def _lifted_metric():
-    from subelliptic.liftgroup import control_system, lift_grushin1
-    return geometry.CCMetric(control_system(lift_grushin1()),
+    from subelliptic.liftgroup import lift_grushin1
+    return geometry.CCMetric(lift_grushin1(),
                              BoxDomain((-1.0,) * 3, (1.0,) * 3, (9,) * 3))
 
 
@@ -232,7 +263,7 @@ def _einsum_fields(metric, sources):
                                np.where(valid[None, :], cand, geometry._BIG))
         delta = np.max(d - d_new)
         d = d_new
-        if delta < metric.cfg.tolerance:
+        if delta < geometry._TOLERANCE:
             return d
 
 
@@ -261,9 +292,10 @@ def test_settled_columns_match_unretired_sweep(g1, dom41, unretired_fields):
                           unretired_fields(m, batch))
 
 
-def test_unconverged_value_iteration_raises(g1):
+def test_unconverged_value_iteration_raises(g1, monkeypatch):
     dom = BoxDomain((-1.0, -1.0), (1.0, 1.0), (11, 11))
-    m = geometry.CCMetric(g1, dom, geometry.CCGraphConfig(tolerance=-1.0))
+    m = geometry.CCMetric(g1, dom)
+    monkeypatch.setattr(geometry, "_TOLERANCE", -1.0)
     with pytest.raises(geometry.UnresolvedDistanceError):
         m.distance_field((0.0, 0.0))
     # every column reaches its fixed point and leaves the batch, while no

@@ -404,6 +404,25 @@ def test_new_matrix_gamma_needs_no_symbolic_work(monkeypatch):
                for word in _BASE_WORDS)
 
 
+def test_operator_compiles_only_nonzero_words(lift1, monkeypatch):
+    # L_A u sums X_i X_j u over the nonzero a_ij only: the identity needs
+    # two words, an SPD matrix with a nonzero off-diagonal all four
+    words = []
+
+    def counted(system, word, expr, syms):
+        words.append(word)
+        return word_apply_sympy(system, word, expr, syms)
+
+    monkeypatch.setattr(liftgroup, "word_apply_sympy", counted)
+    bump = liftgroup._gaussian_bump((0.5, 0.7, 0.9))
+    for A, expected in ((None, [(0, 0), (1, 1)]),
+                        (np.array([[1.3, 0.4], [0.4, 0.8]]),
+                         [(0, 0), (0, 1), (1, 0), (1, 1)])):
+        words.clear()
+        liftgroup._compiled_operator(lift1, A, bump, liftgroup._H_SYMS)
+        assert words == expected
+
+
 class TestCutoffFamily:
     R = 0.45
     centers = [(0.0, 0.0), (0.3, 0.2), (-0.4, 0.1), (0.2, -0.5),
