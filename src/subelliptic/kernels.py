@@ -342,7 +342,7 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     F_fn = _compiled_operator(_BASE_SYSTEM, A, u_expr, _B_SYMS)
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
-    grid = _graded_kernel(kernel, cells)
+    grid = _graded_kernel(kernel.profile, cells)
     Tv = _lifted_sums(functools.partial(_kernel_levels, kernel, grid),
                       lambda y1, y2, _: F_fn(y1, y2),
                       np.column_stack([xs, np.zeros(len(xs))]), len(grid[0]))
@@ -582,31 +582,49 @@ def log_growth_grid(i: int, j: int, x, A=None) -> tuple:
 # the operator on grid functions
 # ---------------------------------------------------------------------------
 
-def _graded_kernel(kernel: TruncatedKernel, cells: int) -> tuple:
+# graded base grids kept per (profile, cells); one at the representation
+# defaults (cells=64) holds about 20 MB, one at cells=16 about 0.4 MB
+_GRID_CACHE_LIMIT = 8
+
+# T plans kept (``_t_plan``); the benchmark's T-queries use four.  A plan
+# holds 24 B per (node, output group) pair: 10-11 MB at cells=16 for the
+# 256 stride-4 outputs on 61^2 (16 groups), about 0.6 MB per scattered point
+_PLAN_CACHE_LIMIT = 8
+
+
+def _freeze(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_LIMIT)
+def _graded_kernel(profile: CutoffProfile, cells: int) -> tuple:
     """Base grid of the lifted T-cubature: (v0, w0, per_level, s0).
 
     The node sets are those of ``graded_nodes_aniso`` with half-widths
     1.05 (Lam, max(Lam, Lam^2), Lam), cells (cells, 2 cells, cells) and
     shrinks (4, 16, 4); s0 is ||v||^4 on the base grid, summed from its
-    1-D axes in the order of ``_norm_quartic``.  ``_kernel_levels`` takes
-    the nodes and their K(v) w from it.
+    1-D axes in the order of ``_norm_quartic``.  ``_kernel_levels`` and
+    ``_build_t_plan`` take the nodes from it.
     The level count L is the least for which psi vanishes on level L + 1,
     whose ||v||^4 are s0 4^(-4(L+1)); the nodes of level L inside level
     L + 1's box have no larger ||v||, so any count from L up gives the
-    same sums.
+    same sums.  The grid depends on the cutoff profile and the cell count
+    alone, so it is built once per pair and its arrays are read-only.
     """
-    Lam = kernel.profile.support_radius
+    Lam = profile.support_radius
     half = np.array([1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam])
     shape = (cells, 2 * cells, cells)
     shrinks = np.array([4.0, 16.0, 4.0])
     a1, a2, a3 = _midpoint_axes(half, np.array(shape))
     s0 = (a1[:, None, None] ** 4 + a2[None, :, None] ** 2
           + a3[None, None, :] ** 4).ravel()
-    s_max, s_in = float(s0.max()), kernel.profile._edges()[0]
+    s_max, s_in = float(s0.max()), profile._edges()[0]
     levels = 0
     while s_max * float(np.prod(shrinks ** -(levels + 1))) > s_in:
         levels += 1
     v0, w0, per_level = _graded_levels(half, shape, levels, shrinks)
+    _freeze(v0, s0, *(a for level in per_level for a in level))
     return v0, w0, per_level, s0
 
 
@@ -632,6 +650,162 @@ def _kernel_levels(kernel: TruncatedKernel, grid: tuple, block=slice(None)):
         yield (*(c[keep] * s for c, s in zip(cols, scale)), kw[keep])
 
 
+@dataclass(frozen=True)
+class _TGroup:
+    """One group of output points and the nodes whose f-corners it reads.
+
+    sel indexes the plan's node list; f1 and gfrac are the nodes' bilinear
+    fractions along x1 and x2, and cell the table bin of a node's lower
+    f-row corner (its upper-row corner is one table row, nq bins, on).
+    The tables have the given shape (rows, nq) and are contracted with f
+    at rows and cols.
+    """
+
+    members: np.ndarray
+    sel: np.ndarray
+    f1: np.ndarray
+    gfrac: np.ndarray
+    cell: np.ndarray
+    shape: tuple
+    rows: slice
+    cols: np.ndarray
+
+    def tables(self, kw: np.ndarray) -> list:
+        """W_lo, W_hi: K w at the group's nodes times the bilinear corner
+        weights, binned by corner.  W_lo's terms are (K w (1 - f1))
+        (1 - gfrac) at lower-row corners and (K w f1) (1 - gfrac) at
+        upper-row ones, W_hi's the same with gfrac; a bin sums them in
+        node order, lower-row corners first."""
+        n = self.sel.size
+        w = np.take(kw, self.sel)
+        wr = np.empty((2, n))
+        np.multiply(w, 1.0 - self.f1, out=wr[0])
+        np.multiply(w, self.f1, out=wr[1])
+        idx = np.empty((2, n), dtype=np.intp)
+        idx[0] = self.cell
+        np.add(self.cell, self.shape[1], out=idx[1])
+        idx = idx.ravel()
+        size = self.shape[0] * self.shape[1]
+        return [np.bincount(idx, (wr * frac).ravel(),
+                            minlength=size).reshape(self.shape)
+                for frac in (1.0 - self.gfrac, self.gfrac)]
+
+
+@dataclass(frozen=True)
+class _TPlan:
+    """Everything of a T-cubature that does not depend on the matrix A.
+
+    K is evaluated on the base grid's columns; level l's nodes are the
+    base nodes `base` with cutoff values psi (only psi != 0 is kept), and
+    the plan's node list is the levels concatenated in order.  Unlike
+    ``_kernel_levels`` it keeps a node where K w itself is 0, which adds
+    exact zeros (no node of an even-celled midpoint grid is known to hit
+    such a zero).
+    """
+
+    cols: tuple
+    w0: float
+    levels: tuple        # (base, psi) per level
+    groups: tuple        # _TGroup per output group that reads f
+    size: int            # number of output points
+
+    def arrays(self) -> list:
+        return [*self.cols, *(a for lev in self.levels for a in lev),
+                *(a for g in self.groups for a in (g.members, g.sel, g.f1,
+                                                   g.gfrac, g.cell, g.cols))]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.arrays())
+
+
+def _build_t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
+                  pts: np.ndarray) -> _TPlan:
+    """The node set, cutoff values and per-group weight-table geometry of
+    ``apply_T_quadrature`` for the (n, 2) output points pts."""
+    v0, w0, per_level, s0 = _graded_kernel(profile, cells)
+    cols = tuple(np.ascontiguousarray(v0[:, k]) for k in range(3))
+    levels, nodes = [], []
+    for scale, keep in per_level:
+        psi = profile.radial_quartic(s0 * float(np.prod(scale)))
+        base = np.flatnonzero(keep & (psi != 0.0))
+        levels.append((base, psi[base]))
+        nodes.append([c[base] * s for c, s in zip(cols, scale)])
+    v1, v2, v3 = (np.concatenate(a) for a in zip(*nodes))
+    h = dom.spacing
+    c0, c1 = dom.counts
+    b_add = (-v2 + v1 * v3) / h[1]
+    c_mul = -v3 / h[1]
+    # x2 = lower + (m + phi) h2; a grid-aligned x2 differs from its grid
+    # line by rounding only, so it gets phi near 0 (never near 1), and the
+    # group key rounds phi well above that and below any scattered spacing
+    r2 = (pts[:, 1] - dom.lower[1]) / h[1]
+    m = np.floor(r2 + 1e-9)
+    phi = r2 - m
+    keys = np.stack([pts[:, 0], np.round(phi * 1e12)], axis=1)
+    _, inverse, sizes = np.unique(keys, axis=0, return_inverse=True,
+                                  return_counts=True)
+    groups = []
+    for members in np.split(np.argsort(inverse.ravel(), kind="stable"),
+                            np.cumsum(sizes)[:-1]):
+        lead = members[0]
+        x1 = pts[lead, 0]
+        r1 = (x1 - v1 - dom.lower[0]) / h[0]
+        sel = np.flatnonzero((r1 >= 0) & (r1 <= c0 - 1)).astype(np.int32)
+        if sel.size == 0:
+            continue
+        r1 = np.clip(r1[sel], 0.0, c0 - 1 - 1e-9)
+        b1 = r1.astype(np.int64)
+        t = phi[lead] + b_add[sel] + x1 * c_mul[sel]
+        q = np.floor(t)
+        gfrac = t - q
+        q = q.astype(np.int64)
+        qmin = int(q.min())
+        nq = int(q.max()) - qmin + 1
+        row_lo = b1.min()
+        nrow = int(b1.max()) - row_lo + 2
+        cell = (b1 - row_lo) * nq + (q - qmin)
+        # columns m + q; any outside [0, c1] read the zero column c1
+        fcols = (m[members].astype(np.int64) + qmin)[:, None] + np.arange(nq)
+        fcols = np.where((fcols >= 0) & (fcols <= c1), fcols, c1)
+        groups.append(_TGroup(members, sel, r1 - b1, gfrac,
+                              cell.astype(np.int32), (nrow, nq),
+                              slice(row_lo, row_lo + nrow), fcols))
+    plan = _TPlan(cols, w0, tuple(levels), tuple(groups), len(pts))
+    _freeze(*plan.arrays())
+    return plan
+
+
+_T_PLANS: dict = {}
+_T_PLAN_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
+
+
+def _t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
+            pts: np.ndarray) -> _TPlan:
+    """The T plan of (profile, cells, f's box, output points), built on a
+    miss; at most ``_PLAN_CACHE_LIMIT`` are kept, the least recently used
+    evicted first."""
+    key = (profile, cells, dom, pts.shape, pts.tobytes())
+    plan = _T_PLANS.pop(key, None)
+    if plan is None:
+        _T_PLAN_COUNTS["misses"] += 1
+        if len(_T_PLANS) >= _PLAN_CACHE_LIMIT:
+            _T_PLANS.pop(next(iter(_T_PLANS)))
+            _T_PLAN_COUNTS["evictions"] += 1
+        plan = _build_t_plan(profile, cells, dom, pts)
+    else:
+        _T_PLAN_COUNTS["hits"] += 1
+    _T_PLANS[key] = plan
+    return plan
+
+
+def t_plan_cache_info() -> dict:
+    """Hits, misses and evictions of the T-plan cache, with the number of
+    plans it holds and their bytes."""
+    return dict(_T_PLAN_COUNTS, plans=len(_T_PLANS),
+                nbytes=sum(p.nbytes for p in _T_PLANS.values()))
+
+
 def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
                        cells: int = 16) -> np.ndarray:
     """T f at the given points by graded quadrature in lifted coordinates.
@@ -651,66 +825,33 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
     with shifted columns of f; a lower corner reads f only in columns
     [0, c1 - 2], so a point outside the box reads zero.  Scattered points
     form groups of one.
+
+    Only K depends on the matrix A, so everything else (nodes, cutoff
+    values, groups, corner fractions and bins) is a plan (``_t_plan``)
+    built once per cutoff profile, cells, f's box and output points; a
+    call evaluates c0 w0 K once on the base grid, scales it by each level's
+    cutoff, and bins and contracts it per group.
     """
-    v1, v2, v3, kw = (np.concatenate(a) for a in zip(*_kernel_levels(
-        kernel, _graded_kernel(kernel, cells))))
-    dom = f.domain
-    h = dom.spacing
-    c0, c1 = dom.counts
-    pts = np.asarray(out_points, dtype=float)
-    out = np.zeros(len(pts))
+    pts = np.atleast_2d(np.asarray(out_points, dtype=float))
+    if pts.size == 0:
+        return np.zeros(0)
+    plan = _t_plan(kernel.profile, cells, f.domain, pts)
+    kw0 = kernel._c0 * plan.w0 * np.asarray(kernel._fn(*plan.cols),
+                                             dtype=float)
+    kw = np.concatenate([kw0[base] * psi for base, psi in plan.levels])
+    c0, c1 = f.domain.counts
     # f's lower and upper corner columns; zero where a lower corner leaves
     # [0, c1 - 2]
     f_lo = np.zeros((c0, c1 + 1))
     f_hi = np.zeros((c0, c1 + 1))
     f_lo[:, :c1 - 1] = f.values[:, :c1 - 1]
     f_hi[:, :c1 - 1] = f.values[:, 1:]
-    b_add = (-v2 + v1 * v3) / h[1]
-    c_mul = -v3 / h[1]
-    # x2 = lower + (m + phi) h2; a grid-aligned x2 differs from its grid
-    # line by rounding only, so it gets phi near 0 (never near 1), and the
-    # group key rounds phi well above that and below any scattered spacing
-    r2 = (pts[:, 1] - dom.lower[1]) / h[1]
-    m = np.floor(r2 + 1e-9)
-    phi = r2 - m
-    keys = np.stack([pts[:, 0], np.round(phi * 1e12)], axis=1)
-    _, inverse, sizes = np.unique(keys, axis=0, return_inverse=True,
-                                  return_counts=True)
-    groups = np.split(np.argsort(inverse.ravel(), kind="stable"),
-                      np.cumsum(sizes)[:-1])
-    for members in groups:
-        lead = members[0]
-        x1 = pts[lead, 0]
-        r1 = (x1 - v1 - dom.lower[0]) / h[0]
-        ok = (r1 >= 0) & (r1 <= c0 - 1)
-        if not ok.any():
-            continue
-        r1 = np.clip(r1[ok], 0.0, c0 - 1 - 1e-9)
-        b1 = r1.astype(np.int64)
-        f1 = r1 - b1
-        t = phi[lead] + b_add[ok] + x1 * c_mul[ok]
-        q = np.floor(t)
-        gfrac = t - q
-        q = q.astype(np.int64)
-        qmin = int(q.min())
-        nq = int(q.max()) - qmin + 1
-        row_lo = b1.min()
-        nrow = int(b1.max()) - row_lo + 2
-        cell = (b1 - row_lo) * nq + (q - qmin)
-        idx = np.concatenate([cell, cell + nq])
-        w = kw[ok]
-        wr = np.concatenate([w * (1.0 - f1), w * f1])
-        gg = np.concatenate([gfrac, gfrac])
-        W_lo = np.bincount(idx, wr * (1.0 - gg), minlength=nrow * nq)
-        W_hi = np.bincount(idx, wr * gg, minlength=nrow * nq)
-        # columns m + q; any outside [0, c1] read the zero column c1
-        cols = (m[members].astype(np.int64) + qmin)[:, None] + np.arange(nq)
-        cols = np.where((cols >= 0) & (cols <= c1), cols, c1)
-        rows = slice(row_lo, row_lo + nrow)
-        out[members] = (
-            np.einsum("rq,rgq->g", W_lo.reshape(nrow, nq), f_lo[rows][:, cols])
-            + np.einsum("rq,rgq->g", W_hi.reshape(nrow, nq),
-                        f_hi[rows][:, cols]))
+    out = np.zeros(plan.size)
+    for g in plan.groups:
+        W_lo, W_hi = g.tables(kw)
+        out[g.members] = (np.einsum("rq,rgq->g", W_lo, f_lo[g.rows][:, g.cols])
+                          + np.einsum("rq,rgq->g", W_hi,
+                                      f_hi[g.rows][:, g.cols]))
     return out
 
 
@@ -720,8 +861,8 @@ def lp_ratio_sweep(i: int, j: int, test_functions,
     """max_f ||T f||_p / ||f||_p for each (eps, R, p) cell of the sweep.
 
     T f is sampled on a strided subgrid of each f's domain and the norms
-    are Riemann sums there; the quadrature nodes are built once per
-    (eps, R) and the p loop reuses the images.
+    are Riemann sums there; test functions on one domain share one T plan
+    per (eps, R) (``_t_plan``), and the p loop reuses the images.
     """
     stride = 4
     out = {}

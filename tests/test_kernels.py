@@ -312,7 +312,7 @@ def test_graded_levels_are_exact_dilates(args):
 def _lifted_nodes(kernel, cells):
     """All graded nodes and K(v) w, every level evaluated directly, at the
     library's level count."""
-    levels = len(kernels._graded_kernel(kernel, cells)[2]) - 1
+    levels = len(kernels._graded_kernel(kernel.profile, cells)[2]) - 1
     Lam = kernel.profile.support_radius
     half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
     vs, wts = _graded_nodes_direct((0.0, 0.0, 0.0), half,
@@ -342,7 +342,7 @@ def test_level_count_from_the_cutoff(eps, R, cells):
     # level L keeps a node inside the cutoff's support, level L + 1 would
     # keep none, and one more level leaves the nonzero nodes as they are
     k = TruncatedKernel(0, 1, eps, R)
-    grid = kernels._graded_kernel(k, cells)
+    grid = kernels._graded_kernel(k.profile, cells)
     _, _, per_level, s0 = grid
     scale, keep = per_level[-1]
     shrinks = np.array([4.0, 16.0, 4.0])
@@ -374,6 +374,163 @@ def test_weight_tables_match_gather():
             ref = _apply_T_gather(k, f, out)
             got = kernels.apply_T_quadrature(k, f, out)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _apply_T_one_pass(kernel, f, pts, cells=16):
+    """T f with the node set, groups and weight tables built in the same
+    pass as the sums, in the same floating-point order as the plan."""
+    v1, v2, v3, kw = (np.concatenate(a) for a in zip(*kernels._kernel_levels(
+        kernel, kernels._graded_kernel(kernel.profile, cells))))
+    dom = f.domain
+    h = dom.spacing
+    c0, c1 = dom.counts
+    out = np.zeros(len(pts))
+    f_lo = np.zeros((c0, c1 + 1))
+    f_hi = np.zeros((c0, c1 + 1))
+    f_lo[:, :c1 - 1] = f.values[:, :c1 - 1]
+    f_hi[:, :c1 - 1] = f.values[:, 1:]
+    b_add = (-v2 + v1 * v3) / h[1]
+    c_mul = -v3 / h[1]
+    r2 = (pts[:, 1] - dom.lower[1]) / h[1]
+    m = np.floor(r2 + 1e-9)
+    phi = r2 - m
+    keys = np.stack([pts[:, 0], np.round(phi * 1e12)], axis=1)
+    _, inverse, sizes = np.unique(keys, axis=0, return_inverse=True,
+                                  return_counts=True)
+    for members in np.split(np.argsort(inverse.ravel(), kind="stable"),
+                            np.cumsum(sizes)[:-1]):
+        lead = members[0]
+        x1 = pts[lead, 0]
+        r1 = (x1 - v1 - dom.lower[0]) / h[0]
+        ok = (r1 >= 0) & (r1 <= c0 - 1)
+        if not ok.any():
+            continue
+        r1 = np.clip(r1[ok], 0.0, c0 - 1 - 1e-9)
+        b1 = r1.astype(np.int64)
+        f1 = r1 - b1
+        t = phi[lead] + b_add[ok] + x1 * c_mul[ok]
+        q = np.floor(t)
+        gfrac = t - q
+        q = q.astype(np.int64)
+        qmin = int(q.min())
+        nq = int(q.max()) - qmin + 1
+        row_lo = b1.min()
+        nrow = int(b1.max()) - row_lo + 2
+        cell = (b1 - row_lo) * nq + (q - qmin)
+        idx = np.concatenate([cell, cell + nq])
+        w = kw[ok]
+        wr = np.concatenate([w * (1.0 - f1), w * f1])
+        gg = np.concatenate([gfrac, gfrac])
+        W_lo = np.bincount(idx, wr * (1.0 - gg), minlength=nrow * nq)
+        W_hi = np.bincount(idx, wr * gg, minlength=nrow * nq)
+        cols = (m[members].astype(np.int64) + qmin)[:, None] + np.arange(nq)
+        cols = np.where((cols >= 0) & (cols <= c1), cols, c1)
+        rows = slice(row_lo, row_lo + nrow)
+        out[members] = (
+            np.einsum("rq,rgq->g", W_lo.reshape(nrow, nq), f_lo[rows][:, cols])
+            + np.einsum("rq,rgq->g", W_hi.reshape(nrow, nq),
+                        f_hi[rows][:, cols]))
+    return out
+
+
+def test_plan_cold_warm_and_cleared_agree_bitwise():
+    # the benchmark's four T-query (eps, R) pairs on its 61^2 stride-4
+    # outputs, and scattered points, some outside f's box
+    dom = BoxDomain((-2, -2), (2, 2), (61, 61))
+    f = bump_grid(dom, (0.15, -0.1), 0.7)
+    axes = [np.asarray(a)[::4] for a in dom.axes()]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+    scattered = np.random.default_rng(4).uniform(-2.4, 2.4, (12, 2))
+    mats = (None, np.array([[1.3, 0.4], [0.4, 0.7]]),
+            np.array([[0.6, -0.2], [-0.2, 1.8]]))
+    for eps, R in ((0.02, 0.5), (0.05, 1.0), (0.1, 2.0), (0.05, 2.0)):
+        for out in (grid, scattered):
+            kernels._T_PLANS.clear()
+            for A in mats:
+                k = TruncatedKernel(0, 1, eps, R, A)
+                cold = kernels.apply_T_quadrature(k, f, out)
+                warm = kernels.apply_T_quadrature(k, f, out)
+                kernels._T_PLANS.clear()
+                cleared = kernels.apply_T_quadrature(k, f, out)
+                ref = _apply_T_one_pass(k, f, out)
+                assert np.array_equal(cold, ref)
+                assert np.array_equal(warm, ref)
+                assert np.array_equal(cleared, ref)
+
+
+def test_plan_and_grid_arrays_are_read_only():
+    dom = BoxDomain((-2, -2), (2, 2), (21, 21))
+    k = TruncatedKernel(0, 1, 0.05, 1.0)
+    out = dom.points()[::5]
+    plan = kernels._t_plan(k.profile, 16, dom, out)
+    g = plan.groups[0]
+    for a in (plan.cols[0], plan.levels[0][0], plan.levels[0][1], g.sel,
+              g.f1, g.gfrac, g.cell, g.cols, g.members):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    v0, _, per_level, s0 = kernels._graded_kernel(k.profile, 16)
+    for a in (v0, s0, per_level[0][0], per_level[0][1]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_plan_cache_evicts_the_least_recently_used():
+    dom = BoxDomain((-1, -1), (1, 1), (11, 11))
+    f = bump_grid(dom, (0.0, 0.0), 0.5)
+    out = np.array([[0.1, 0.2], [-0.3, 0.0]])
+    kernels._T_PLANS.clear()
+    eps_list = [0.05 + 0.01 * n for n in range(kernels._PLAN_CACHE_LIMIT + 1)]
+    for eps in eps_list[:-1]:
+        kernels.apply_T_quadrature(TruncatedKernel(0, 1, eps, 1.0), f, out)
+    before = kernels.t_plan_cache_info()
+    assert before["plans"] == kernels._PLAN_CACHE_LIMIT
+    # a hit on the oldest plan makes the second one the least recently used
+    kernels.apply_T_quadrature(TruncatedKernel(0, 1, eps_list[0], 1.0), f,
+                               out)
+    kernels.apply_T_quadrature(TruncatedKernel(0, 1, eps_list[-1], 1.0), f,
+                               out)
+    after = kernels.t_plan_cache_info()
+    assert after["plans"] == kernels._PLAN_CACHE_LIMIT
+    assert after["evictions"] == before["evictions"] + 1
+    assert after["hits"] == before["hits"] + 1
+    assert after["misses"] == before["misses"] + 1
+    profiles = {key[0].eps for key in kernels._T_PLANS}
+    assert profiles == set(eps_list) - {eps_list[1]}
+
+
+def test_apply_T_quadrature_without_points():
+    dom = BoxDomain((-2, -2), (2, 2), (21, 21))
+    k = TruncatedKernel(0, 1, 0.05, 1.0)
+    got = kernels.apply_T_quadrature(k, bump_grid(dom, (0, 0), 0.6),
+                                     np.zeros((0, 2)))
+    assert got.shape == (0,)
+
+
+def test_apply_T_quadrature_single_point():
+    # a point of shape (2,) is the batch of that one point
+    dom = BoxDomain((-2, -2), (2, 2), (21, 21))
+    f = bump_grid(dom, (0, 0), 0.6)
+    k = TruncatedKernel(0, 1, 0.05, 1.0)
+    x = np.array([0.13, -0.21])
+    got = kernels.apply_T_quadrature(k, f, x)
+    assert got.shape == (1,)
+    assert np.array_equal(got, kernels.apply_T_quadrature(k, f, x[None]))
+    assert got[0] != 0.0
+
+
+def test_lp_ratio_sweep_builds_one_plan_per_cell():
+    dom = BoxDomain((-2, -2), (2, 2), (21, 21))
+    funcs = [bump_grid(dom, c, r) for c, r in
+             (((0, 0), 0.6), ((0.3, -0.2), 0.5), ((-0.2, 0.3), 0.8))]
+    kernels._T_PLANS.clear()
+    before = kernels.t_plan_cache_info()
+    sweep = kernels.lp_ratio_sweep(0, 0, funcs, eps_list=(0.05, 0.1),
+                                   R_list=(1.0,))
+    after = kernels.t_plan_cache_info()
+    assert len(sweep) == 2 * 3
+    assert after["misses"] - before["misses"] == 2
+    assert after["hits"] - before["hits"] == 2 * 2
 
 
 def test_representation_levels_by_homogeneity(lift1):
