@@ -2,17 +2,20 @@
 variable-coefficient operators, and a-priori estimate ratio experiments.
 
 X-derivatives are centered finite differences of the grid samples combined
-with exact polynomial coefficients; each application shrinks the trusted
-margin by one cell.  ``fields.word_apply_sympy`` gives the same derivatives
-exactly (via sympy) for oracle comparisons.
+with exact polynomial coefficients, one sparse matrix per (field, box)
+(``field_matrix``); each application shrinks the trusted margin by one
+cell.  ``fields.word_apply_sympy`` gives the same derivatives exactly (via
+sympy) for oracle comparisons.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from scipy import sparse
 
 from .domain import BoxDomain, GridFunction
 from .fields import HormanderSystem, PolyVectorField
@@ -26,19 +29,54 @@ class EllipticityError(ValueError):
 # discrete X-derivatives
 # ---------------------------------------------------------------------------
 
-def apply_field_grid(X: PolyVectorField, f: GridFunction) -> GridFunction:
-    """Centered-difference directional derivative sum_k c_k(x) df/dx_k."""
-    dom = f.domain
-    grads = np.gradient(f.values, *dom.spacing, edge_order=1)
-    if dom.dim == 1:
-        grads = [grads]
-    pts = dom.points()
-    out = np.zeros(dom.counts)
+# field matrices kept (``field_matrix``); one holds 12 B per stored entry,
+# at most two per nonzero coefficient per node: 40 kB per field on 41^2
+_FIELD_MATRIX_LIMIT = 16
+
+
+def _axis_difference(count: int, h: float) -> sparse.dia_matrix:
+    """The 1-D stencil of ``np.gradient(edge_order=1)``: centred inside,
+    one-sided on the two end nodes."""
+    below, above = np.full(count - 1, -0.5 / h), np.full(count - 1, 0.5 / h)
+    below[-1], above[0] = -1.0 / h, 1.0 / h
+    diag = np.zeros(count)
+    diag[0], diag[-1] = -1.0 / h, 1.0 / h
+    return sparse.diags([below, diag, above], [-1, 0, 1])
+
+
+@functools.lru_cache(maxsize=_FIELD_MATRIX_LIMIT)
+def field_matrix(X: PolyVectorField, domain: BoxDomain) -> sparse.csr_matrix:
+    """X as a read-only CSR matrix on the flattened grid of domain: the
+    difference stencil along each axis scaled row by row by the exact
+    coefficient at the node."""
+    pts, counts = domain.points(), domain.counts
+    out = sparse.csr_matrix((domain.num_points,) * 2)
     for k, c in enumerate(X.comps):
         if c.is_zero():
             continue
-        out += c(pts).reshape(dom.counts) * grads[k]
-    return GridFunction(dom, out, f.margin + 1)
+        before, after = int(np.prod(counts[:k])), int(np.prod(counts[k + 1:]))
+        step = sparse.kron(sparse.identity(before), sparse.kron(
+            _axis_difference(counts[k], domain.spacing[k]),
+            sparse.identity(after)))
+        out = out + sparse.diags(c(pts)) @ step
+    out = out.tocsr()
+    out.eliminate_zeros()
+    out.sort_indices()
+    for a in (out.data, out.indices, out.indptr):
+        a.flags.writeable = False
+    return out
+
+
+def _apply(mat: sparse.csr_matrix, f: GridFunction) -> GridFunction:
+    """One field matrix applied to f; the trusted margin shrinks a cell."""
+    dom = f.domain
+    return GridFunction(dom, (mat @ f.values.ravel()).reshape(dom.counts),
+                        f.margin + 1)
+
+
+def apply_field_grid(X: PolyVectorField, f: GridFunction) -> GridFunction:
+    """Centered-difference directional derivative sum_k c_k(x) df/dx_k."""
+    return _apply(field_matrix(X, f.domain), f)
 
 
 def apply_word_grid(system: HormanderSystem, word, f: GridFunction) -> GridFunction:
@@ -82,11 +120,12 @@ class SobolevReport:
 def _word_grids(system: HormanderSystem, f: GridFunction, k: int) -> dict:
     """X_I f for the words I of length 1..k, shorter words first, keyed in
     operator order as ``apply_word_grid``: (i, j) holds X_i X_j f."""
+    mats = [field_matrix(X, f.domain) for X in system.fields]
     grids, frontier = {}, {(): f}
     for _ in range(k):
-        frontier = {(i,) + word: apply_field_grid(system.fields[i], g)
+        frontier = {(i,) + word: _apply(mat, g)
                     for word, g in frontier.items()
-                    for i in range(system.m)}
+                    for i, mat in enumerate(mats)}
         grids.update(frontier)
     return grids
 
@@ -224,8 +263,9 @@ def interpolation_check(system: HormanderSystem, u: GridFunction, i: int,
     Returns (records, c_p) where c_p is the smallest constant making the
     inequality hold for every epsilon in the list.
     """
-    Xu = apply_field_grid(system.fields[i], u)
-    XXu = apply_field_grid(system.fields[i], Xu)
+    mat = field_matrix(system.fields[i], u.domain)
+    Xu = _apply(mat, u)
+    XXu = _apply(mat, Xu)
     lhs = Xu.lp_norm(p)
     t2 = XXu.lp_norm(p)
     t0 = u.lp_norm(p)
@@ -250,11 +290,11 @@ def leibniz_expand(system: HormanderSystem, J, a: GridFunction,
     """
     terms = [(a, w)]
     for j in reversed(J):
-        X = system.fields[j]
+        mat = field_matrix(system.fields[j], a.domain)
         nxt = []
         for A, W in terms:
-            nxt.append((apply_field_grid(X, A), W))
-            nxt.append((A, apply_field_grid(X, W)))
+            nxt.append((_apply(mat, A), W))
+            nxt.append((A, _apply(mat, W)))
         terms = nxt
     dom = a.domain
     out = np.zeros(dom.counts)

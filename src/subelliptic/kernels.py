@@ -586,10 +586,11 @@ def log_growth_grid(i: int, j: int, x, A=None) -> tuple:
 # defaults (cells=64) holds about 20 MB, one at cells=16 about 0.4 MB
 _GRID_CACHE_LIMIT = 8
 
-# T plans kept (``_t_plan``); the benchmark's T-queries use four.  A plan
-# holds 24 B per (node, output group) pair: 10-11 MB at cells=16 for the
-# 256 stride-4 outputs on 61^2 (16 groups), about 0.6 MB per scattered point
-_PLAN_CACHE_LIMIT = 8
+# bytes of T plans kept (``_t_plan``).  A plan holds 24 B per (node,
+# output group) pair: 10-11 MB at cells=16 for the 256 stride-4 outputs on
+# 61^2 (16 groups), so the benchmark's four T-query plans take 42 MB; all
+# of 61^2 takes 36-42 MB, and a scattered point about 0.6 MB
+_PLAN_CACHE_BYTES = 128 * 2 ** 20
 
 
 def _freeze(*arrays) -> None:
@@ -783,16 +784,17 @@ _T_PLAN_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
 def _t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
             pts: np.ndarray) -> _TPlan:
     """The T plan of (profile, cells, f's box, output points), built on a
-    miss; at most ``_PLAN_CACHE_LIMIT`` are kept, the least recently used
-    evicted first."""
+    miss.  Plans of at most ``_PLAN_CACHE_BYTES`` together are kept, the
+    least recently used evicted first; the plan just used always stays."""
     key = (profile, cells, dom, pts.shape, pts.tobytes())
     plan = _T_PLANS.pop(key, None)
     if plan is None:
         _T_PLAN_COUNTS["misses"] += 1
-        if len(_T_PLANS) >= _PLAN_CACHE_LIMIT:
-            _T_PLANS.pop(next(iter(_T_PLANS)))
-            _T_PLAN_COUNTS["evictions"] += 1
         plan = _build_t_plan(profile, cells, dom, pts)
+        held = sum(p.nbytes for p in _T_PLANS.values())
+        while _T_PLANS and held + plan.nbytes > _PLAN_CACHE_BYTES:
+            held -= _T_PLANS.pop(next(iter(_T_PLANS))).nbytes
+            _T_PLAN_COUNTS["evictions"] += 1
     else:
         _T_PLAN_COUNTS["hits"] += 1
     _T_PLANS[key] = plan

@@ -11,6 +11,7 @@ margin of a sampled function, are never averaged over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -37,9 +38,10 @@ class BallFamily:
     ball (c, r) is the boolean slice distance[c] < r.  The family radii are
     sliced once, when the family is built, into sparse 0/1 memberships:
     members[k] is the CSR matrix (C, num_points) of the radius-radii[k]
-    balls, point_balls[k] its transpose as CSR arrays (indptr, ball
-    indices) that list the balls holding each point, counts[k] the balls'
-    node counts, and clipped[c, k] flags balls that reach the box faces.
+    balls, counts[k] the balls' node counts, and clipped[c, k] flags balls
+    that reach the box faces.
+    Which balls a function's statistics may use depends on its trusted
+    margin alone, so ``usable`` keeps them per margin.
     """
 
     domain: BoxDomain
@@ -50,21 +52,20 @@ class BallFamily:
     stride: int = 1
 
     members: list = field(init=False, repr=False)       # K CSR (C, P)
-    point_balls: list = field(init=False, repr=False)   # K (indptr, balls)
     counts: np.ndarray = field(init=False, repr=False)  # (K, C)
     clipped: np.ndarray = field(init=False, repr=False)  # (C, K) bool
+    _usable: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("radii must be strictly increasing")
-        self.members, self.point_balls = [], []
+        self.members = []
         for r in self.radii:
             inside = self.distance < r
             indptr, points = _csr_arrays(inside)
             self.members.append(sparse.csr_matrix(
                 (np.ones(len(points)), points, indptr), shape=inside.shape))
-            self.point_balls.append(_csr_arrays(inside.T))
         self.counts = np.array([np.diff(m.indptr) for m in self.members])
         self.clipped = np.array([m @ self.domain.border > 0
                                  for m in self.members]).T
@@ -73,9 +74,55 @@ class BallFamily:
     def num_centers(self) -> int:
         return int(self.centers.shape[0])
 
+    def usable(self, f: GridFunction) -> "_Usable":
+        """The nodes and balls open to f's statistics, and the margin they
+        cover, built on the first use of f's trusted margin.
+
+        A ball is usable when it holds no node outside: none on the box
+        faces (it is unclipped) and none in f's untrusted margin.
+        """
+        use = self._usable.get(f.margin)
+        if use is None:
+            outside = self.domain.border | ~f.interior_mask().ravel()
+            radii = tuple(_UsableBalls.of(m, counts, outside)
+                          for m, counts in zip(self.members, self.counts))
+            covered = np.logical_or.reduce(
+                [np.diff(b.point_balls[0]) > 0 for b in radii])
+            use = self._usable[f.margin] = _Usable(
+                outside, radii, _covering_margin(covered, self.domain))
+        return use
+
     def coverage(self, k: int) -> float:
-        return float(np.count_nonzero(np.diff(self.point_balls[k][0]))) \
+        """Share of the grid points that lie in a radius-radii[k] ball."""
+        return np.unique(self.members[k].indices).size \
             / self.domain.num_points
+
+
+class _UsableBalls(NamedTuple):
+    """The usable balls of one family radius, as the family stores all."""
+
+    members: sparse.csr_matrix   # (U, P) 0/1 memberships
+    counts: np.ndarray           # (U,) node counts
+    points: np.ndarray           # members.indices as intp
+    point_balls: tuple           # (indptr, balls): usable holders per point
+
+    @classmethod
+    def of(cls, members, counts, outside) -> "_UsableBalls":
+        rows = np.flatnonzero(members @ outside == 0)
+        sub = members[rows]
+        holders = sub.T.tocsr()
+        return cls(sub, counts[rows], sub.indices.astype(np.intp),
+                   (holders.indptr.astype(np.intp),
+                    holders.indices.astype(np.intp)))
+
+
+class _Usable(NamedTuple):
+    """A BallFamily's view of the functions of one trusted margin."""
+
+    outside: np.ndarray        # flat bool: box faces or untrusted nodes
+    radii: tuple               # _UsableBalls per family radius
+    covering: int | None       # smallest margin whose interior the
+                               # usable balls cover; None if none is
 
 
 def _csr_arrays(mask: np.ndarray) -> tuple:
@@ -89,10 +136,9 @@ def _csr_arrays(mask: np.ndarray) -> tuple:
     return indptr, cols
 
 
-def _row_reduce(ufunc, vals: np.ndarray, indptr: np.ndarray,
-                empty: float) -> np.ndarray:
-    """ufunc.reduce of each CSR row's entries; empty on empty rows."""
-    out = np.full(len(indptr) - 1, empty)
+def _row_reduce(ufunc, vals: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """ufunc.reduce of each CSR row's entries; 0 on empty rows."""
+    out = np.zeros(len(indptr) - 1)
     full = np.diff(indptr) > 0
     out[full] = ufunc.reduceat(vals, indptr[:-1][full])
     return out
@@ -134,7 +180,7 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
     radii = r0 * 2.0 ** np.arange(num_radii)
     fam = BallFamily(domain=domain, q=float(system.q), centers=centers,
                      radii=radii, distance=dist, stride=stride)
-    gaps = np.count_nonzero(np.diff(fam.point_balls[0][0]) == 0)
+    gaps = domain.num_points - np.unique(fam.members[0].indices).size
     if gaps:
         raise CoverageGapError(
             f"{gaps} grid points outside every "
@@ -147,50 +193,46 @@ def build_ball_family(system: HormanderSystem, domain: BoxDomain,
 # ---------------------------------------------------------------------------
 
 def _ball_stats(f: GridFunction, fam: BallFamily, oscillation: bool):
-    """Per family radius: one statistic of f on every family ball.
+    """Per family radius: one statistic of f on every usable family ball.
 
     A ball is usable when it is unclipped and lies inside f's trusted
-    samples.  Yields (k, stat) per radius: per ball, the mean of |f| or
-    the mean oscillation of f, and -1 on unusable balls (the statistics
-    themselves are nonnegative).  The one statistic behind the maximal
-    functions and the VMO modulus.
+    samples (``BallFamily.usable``).  Yields (balls, stat) per radius: the
+    radius's ``_UsableBalls`` and, per usable ball, the mean of |f| or the
+    mean oscillation of f.  The one statistic behind the maximal functions
+    and the VMO modulus.
     """
     vals = f.values.ravel()
-    untrusted = ~f.interior_mask().ravel()
-    for k, (balls, counts) in enumerate(zip(fam.members, fam.counts)):
-        ok = ~fam.clipped[:, k]
-        if untrusted.any():
-            ok &= balls @ untrusted == 0
+    for balls in fam.usable(f).radii:
         if oscillation:
-            avg = (balls @ vals) / counts
-            dev = np.abs(vals[balls.indices] - np.repeat(avg, counts))
-            stat = _row_reduce(np.add, dev, balls.indptr, 0.0)
+            avg = (balls.members @ vals) / balls.counts
+            dev = np.abs(vals[balls.points] - np.repeat(avg, balls.counts))
+            stat = _row_reduce(np.add, dev, balls.members.indptr)
         else:
-            stat = balls @ np.abs(vals)
-        yield k, np.where(ok, stat / counts, -1.0)
+            stat = balls.members @ np.abs(vals)
+        yield balls, stat / balls.counts
 
 
 def _family_sup(f: GridFunction, fam: BallFamily, oscillation: bool):
+    margin = fam.usable(f).covering
+    if margin is None:
+        raise MarginError("no interior region is covered by usable balls")
     out = np.zeros(f.domain.num_points)
-    covered = np.zeros(f.domain.num_points, dtype=bool)
-    for k, stat in _ball_stats(f, fam, oscillation):
-        indptr, holders = fam.point_balls[k]
-        best = _row_reduce(np.maximum, stat.take(holders), indptr, -1.0)
-        np.maximum(out, best, out=out)
-        covered |= best >= 0
-    margin = _covering_margin(covered, f.domain)
+    for balls, stat in _ball_stats(f, fam, oscillation):
+        indptr, holders = balls.point_balls
+        np.maximum(out, _row_reduce(np.maximum, stat.take(holders), indptr),
+                   out=out)
     return GridFunction(f.domain, out.reshape(f.domain.counts),
                         max(margin, f.margin))
 
 
-def _covering_margin(covered: np.ndarray, domain: BoxDomain) -> int:
-    """Smallest margin whose interior is entirely covered."""
+def _covering_margin(covered: np.ndarray, domain: BoxDomain) -> int | None:
+    """Smallest margin whose interior is entirely covered, None if none."""
     cov = covered.reshape(domain.counts)
     for m in range((min(domain.counts) - 1) // 2):
         sl = tuple(slice(m, c - m) for c in domain.counts)
         if cov[sl].all():
             return m
-    raise MarginError("no interior region is covered by usable balls")
+    return None
 
 
 def hl_maximal(f: GridFunction, fam: BallFamily) -> GridFunction:
@@ -231,7 +273,7 @@ def vmo_modulus(f: GridFunction, fam: BallFamily,
     grad_sup, when given, is sum_i ||X_i f||_inf; the report then carries the
     smallest slope c with eta(r) <= c * r * grad_sup across the radius grid.
     """
-    eta = np.maximum.accumulate([max(stat.max(), 0.0)
+    eta = np.maximum.accumulate([stat.max(initial=0.0)
                                  for _, stat in _ball_stats(f, fam, True)])
     slope = None
     if grad_sup is not None and grad_sup > 0:
@@ -299,8 +341,7 @@ def _oscillation_record(second: dict, M_second: dict, trusted: GridFunction,
         raise ValueError("k must be >= 2")
     dist = fam.distance[center_idx]
     mask_r, mask_kr = dist < r, dist < k * r
-    if np.any(mask_kr & (fam.domain.border
-                         | ~trusted.interior_mask().ravel())):
+    if np.any(mask_kr & fam.usable(trusted).outside):
         return OscillationRecord(np.nan, (), k, p, r, center_idx, x0_flat,
                                  skipped=True, note="enlarged ball unusable")
     if not mask_r[x0_flat]:
@@ -336,7 +377,7 @@ def oscillation_check_constant_matrix(
     family maximal; LAu is the constant-matrix operator applied to u.
     """
     def source_term(mask_kr):
-        avg = float((np.abs(LAu.values.ravel()) ** p)[mask_kr].mean())
+        avg = float((np.abs(LAu.values.ravel()[mask_kr]) ** p).mean())
         return (k ** (fam.q / p) * avg ** (1.0 / p),)
 
     return _oscillation_record(second, M_second, LAu, fam, i, j, center_idx,

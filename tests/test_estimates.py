@@ -5,13 +5,16 @@ import pytest
 import sympy as sp
 
 from subelliptic import estimates as es
+from subelliptic import fields
 from subelliptic.domain import BoxDomain, GridFunction
 from subelliptic.estimates import (DiscreteOperator, EllipticityError,
                                    apply_field_grid, apply_L, apply_word_grid,
                                    apriori_ratio, grid_from_expr,
                                    higher_order_ratio, interpolation_check,
                                    leibniz_expand, sobolev_norm)
-from subelliptic.fields import lie_bracket, poly_to_sympy, word_apply_sympy
+from subelliptic.fields import (DilationFamily, HormanderSystem, Poly,
+                                PolyVectorField, catalog_names, lie_bracket,
+                                load_system, poly_to_sympy, word_apply_sympy)
 
 
 def max_interior_gap(a, b, extra=0):
@@ -174,9 +177,20 @@ def test_ratios_differentiate_once_per_word(monkeypatch, g1, dom41, xs2):
         Lu = apply_L(op, u)
         assert Lu.margin == u.margin + 2
     calls = []
-    real = es.apply_field_grid
-    monkeypatch.setattr(es, "apply_field_grid",
-                        lambda X, f: calls.append(1) or real(X, f))
+
+    class Counted:
+        """A field matrix that counts its products."""
+
+        def __init__(self, mat):
+            self.mat = mat
+
+        def __matmul__(self, v):
+            calls.append(1)
+            return self.mat @ v
+
+    real = es.field_matrix
+    monkeypatch.setattr(es, "field_matrix",
+                        lambda X, dom: Counted(real(X, dom)))
     apriori_ratio(DiscreteOperator.identity(g1, dom41), u, 2.0)
     assert len(calls) == 6         # 2 first- and 4 second-order words
 
@@ -207,3 +221,81 @@ def test_vmo_style_coefficients_accepted(g1, dom41, xs2):
     u = grid_from_expr(dom41, es.bump_expr(xs2, (0.6, 0.6)), xs2)
     r, _ = apriori_ratio(op, u, 2.0)
     assert np.isfinite(r) and r > 0
+
+
+def _gradient_field(X, f):
+    """X f from np.gradient times the coefficients at the nodes, the former
+    construction."""
+    dom = f.domain
+    grads = np.gradient(f.values, *dom.spacing, edge_order=1)
+    if dom.dim == 1:
+        grads = [grads]
+    pts = dom.points()
+    out = np.zeros(dom.counts)
+    for k, c in enumerate(X.comps):
+        if not c.is_zero():
+            out += c(pts).reshape(dom.counts) * grads[k]
+    return out
+
+
+def _boxes_and_systems():
+    x = Poly.variable(1, 0)
+    one_d = HormanderSystem("one_d", [PolyVectorField(
+        [Poly.constant(1, 1) + x * x])], DilationFamily((1,)))
+    yield BoxDomain((-1.5,), (2.0,), (17,)), one_d
+    for name in ("grushin1", "grushin2"):
+        for counts in ((41, 41), (5, 9)):
+            yield BoxDomain((-2, -1), (1.5, 2), counts), load_system(name)
+    yield BoxDomain((-1, -2, -1.5), (2, 1, 1.5), (7, 9, 11)), \
+        load_system("example3")
+
+
+def test_field_matrices_match_the_gradient_construction():
+    # every node, the face nodes included
+    assert {name for name in catalog_names()
+            if load_system(name).n == 2} == {"grushin1", "grushin2"}
+    rng = np.random.default_rng(11)
+    for dom, system in _boxes_and_systems():
+        f = GridFunction(dom, rng.standard_normal(dom.counts), 2)
+        for X in system.fields:
+            got = apply_field_grid(X, f)
+            ref = _gradient_field(X, f)
+            assert got.margin == 3
+            assert np.max(np.abs(got.values - ref)) <= \
+                1e-13 * np.max(np.abs(ref))
+
+
+def test_field_matrices_converge_to_the_symbolic_words(xs2):
+    # second order on every word of length 1 and 2, as test_richardson_order
+    expr = es.bump_expr(xs2, (0.7, 0.9))
+    coarse = BoxDomain((-2, -2), (2, 2), (81, 81))
+    for name in ("grushin1", "grushin2"):
+        system = load_system(name)
+        for word in ((0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)):
+            oracle = word_apply_sympy(system, word, expr, xs2)
+            errs = []
+            for dm in (coarse, coarse.refine(2)):
+                g = apply_word_grid(system, word, grid_from_expr(dm, expr,
+                                                                 xs2))
+                errs.append(max_interior_gap(g, grid_from_expr(
+                    dm, oracle, xs2, margin=g.margin)))
+            assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
+def test_field_matrix_cache_is_keyed_by_box_and_bounded(g1):
+    X = g1.fields[1]
+    es.field_matrix.cache_clear()
+    a = es.field_matrix(X, BoxDomain((-2, -2), (2, 2), (9, 9)))
+    assert es.field_matrix(X, BoxDomain((-2, -2), (2, 2), (9, 9))) is a
+    b = es.field_matrix(X, BoxDomain((-2, -2), (2, 3), (9, 9)))
+    assert b is not a and es.field_matrix.cache_info().misses == 2
+    assert es.field_matrix(fields.grushin(1).fields[1],
+                           BoxDomain((-2, -2), (2, 2), (9, 9))) is a
+    for arr in (a.data, a.indices, a.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    for n in range(es._FIELD_MATRIX_LIMIT + 2):
+        es.field_matrix(X, BoxDomain((-2, -2), (2, 2), (9, 5 + n)))
+    info = es.field_matrix.cache_info()
+    assert info.maxsize == es._FIELD_MATRIX_LIMIT
+    assert info.currsize == es._FIELD_MATRIX_LIMIT

@@ -475,28 +475,69 @@ def test_plan_and_grid_arrays_are_read_only():
             a[0] = 0
 
 
-def test_plan_cache_evicts_the_least_recently_used():
+def test_plan_cache_evicts_the_least_recently_used(monkeypatch):
     dom = BoxDomain((-1, -1), (1, 1), (11, 11))
     f = bump_grid(dom, (0.0, 0.0), 0.5)
     out = np.array([[0.1, 0.2], [-0.3, 0.0]])
-    kernels._T_PLANS.clear()
-    eps_list = [0.05 + 0.01 * n for n in range(kernels._PLAN_CACHE_LIMIT + 1)]
-    for eps in eps_list[:-1]:
+
+    def query(eps):
         kernels.apply_T_quadrature(TruncatedKernel(0, 1, eps, 1.0), f, out)
+
+    kernels._T_PLANS.clear()
+    eps_list = [0.05 + 0.01 * n for n in range(6)]
+    for eps in eps_list[:-1]:
+        query(eps)
+    sizes = {key[0].eps: plan.nbytes
+             for key, plan in kernels._T_PLANS.items()}
+    budget = sum(sizes.values())
+    # a budget that holds these five plans exactly
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", budget)
     before = kernels.t_plan_cache_info()
-    assert before["plans"] == kernels._PLAN_CACHE_LIMIT
     # a hit on the oldest plan makes the second one the least recently used
-    kernels.apply_T_quadrature(TruncatedKernel(0, 1, eps_list[0], 1.0), f,
-                               out)
-    kernels.apply_T_quadrature(TruncatedKernel(0, 1, eps_list[-1], 1.0), f,
-                               out)
+    query(eps_list[0])
+    query(eps_list[-1])
     after = kernels.t_plan_cache_info()
-    assert after["plans"] == kernels._PLAN_CACHE_LIMIT
-    assert after["evictions"] == before["evictions"] + 1
+    sizes[eps_list[-1]] = next(reversed(kernels._T_PLANS.values())).nbytes
+    held, evicted = budget, []
+    for eps in eps_list[1:5] + eps_list[:1]:
+        if held + sizes[eps_list[-1]] <= budget:
+            break
+        held -= sizes[eps]
+        evicted.append(eps)
+    assert evicted and after["nbytes"] <= budget
+    assert after["evictions"] == before["evictions"] + len(evicted)
     assert after["hits"] == before["hits"] + 1
     assert after["misses"] == before["misses"] + 1
     profiles = {key[0].eps for key in kernels._T_PLANS}
-    assert profiles == set(eps_list) - {eps_list[1]}
+    assert profiles == set(eps_list) - set(evicted)
+
+
+def test_plan_cache_keeps_the_plan_in_use(monkeypatch):
+    # a plan above the whole budget stays until the next miss replaces it
+    dom = BoxDomain((-1, -1), (1, 1), (11, 11))
+    f = bump_grid(dom, (0.0, 0.0), 0.5)
+    out = np.array([[0.1, 0.2]])
+    kernels._T_PLANS.clear()
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", 1)
+    for eps in (0.05, 0.05, 0.06):
+        kernels.apply_T_quadrature(TruncatedKernel(0, 1, eps, 1.0), f, out)
+        assert [key[0].eps for key in kernels._T_PLANS] == [eps]
+
+
+def test_plan_cache_holds_the_four_benchmark_plans():
+    # the (eps, R) pairs of the benchmark's T-queries on its 61^2 stride-4
+    # outputs: about 42 MB of plans, all kept
+    dom = BoxDomain((-2, -2), (2, 2), (61, 61))
+    axes = [np.asarray(a)[::4] for a in dom.axes()]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+    kernels._T_PLANS.clear()
+    before = kernels.t_plan_cache_info()
+    for eps, R in ((0.02, 0.5), (0.05, 1.0), (0.1, 2.0), (0.05, 2.0)):
+        kernels._t_plan(TruncatedKernel(0, 1, eps, R).profile, 16, dom, grid)
+    info = kernels.t_plan_cache_info()
+    assert info["plans"] == 4 and info["evictions"] == before["evictions"]
+    assert 30e6 < info["nbytes"] <= kernels._PLAN_CACHE_BYTES
 
 
 def test_apply_T_quadrature_without_points():

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from subelliptic import maximal, pool
-from subelliptic.domain import GridFunction
+from subelliptic import estimates, maximal, pool
+from subelliptic.domain import GridFunction, MarginError
 from subelliptic.geometry import get_metric
 from subelliptic.maximal import (CoverageGapError, abs_power, fitted_constant,
                                  hl_maximal, mean_oscillation,
@@ -282,3 +282,104 @@ def test_sample_balls_match_center_loop(family41, dom41):
         assert got == _sample_balls_loop(family41, r, k, trust, limit)
         found += len(got)
     assert found > 0
+
+
+def _former_ball_stats(f, fam, oscillation):
+    """Per radius, the statistic on every family ball and -1 on the
+    unusable ones, found afresh from f's trusted mask: the former
+    construction."""
+    vals = f.values.ravel()
+    untrusted = ~f.interior_mask().ravel()
+    for k, (balls, counts) in enumerate(zip(fam.members, fam.counts)):
+        ok = ~fam.clipped[:, k]
+        if untrusted.any():
+            ok &= balls @ untrusted == 0
+        if oscillation:
+            avg = (balls @ vals) / counts
+            dev = np.abs(vals[balls.indices] - np.repeat(avg, counts))
+            stat = maximal._row_reduce(np.add, dev, balls.indptr)
+        else:
+            stat = balls @ np.abs(vals)
+        yield k, np.where(ok, stat / counts, -1.0)
+
+
+def _former_family_sup(f, fam, oscillation):
+    out = np.zeros(f.domain.num_points)
+    covered = np.zeros(f.domain.num_points, dtype=bool)
+    for k, stat in _former_ball_stats(f, fam, oscillation):
+        indptr, holders = maximal._csr_arrays(fam.distance.T < fam.radii[k])
+        best = np.where(np.diff(indptr) > 0, maximal._row_reduce(
+            np.maximum, stat.take(holders), indptr), -1.0)
+        np.maximum(out, best, out=out)
+        covered |= best >= 0
+    margin = maximal._covering_margin(covered, f.domain)
+    return out.reshape(f.domain.counts), max(margin, f.margin)
+
+
+def _former_record(second, M_second, LAu, fam, i, j, ci, r, x0, k, p):
+    """The constant-matrix record with |L_A u|^p over the whole grid and
+    the trusted mask rebuilt per record: the former construction."""
+    dist = fam.distance[ci]
+    mask_r, mask_kr = dist < r, dist < k * r
+    if np.any(mask_kr & (fam.domain.border | ~LAu.interior_mask().ravel())):
+        return None
+    lhs = mean_oscillation(second[(i, j)].values.ravel(), mask_r)
+    t1 = sum(M_second[key].values.ravel()[x0] for key in M_second) / k
+    avg = float((np.abs(LAu.values.ravel()) ** p)[mask_kr].mean())
+    return lhs, (t1, k ** (fam.q / p) * avg ** (1.0 / p))
+
+
+def test_family_queries_equal_the_former_construction(g1, dom41, xs2,
+                                                      suite41):
+    # cold and warm per-margin views give the former values bitwise
+    fam = maximal.build_ball_family(g1, dom41, r0=0.6, num_radii=2,
+                                    stride=2)
+    for f in suite41[:4]:
+        for margin in range(4):
+            g = GridFunction(dom41, f.values, margin)
+            for _ in range(2):
+                for fn, osc in ((hl_maximal, False), (sharp_maximal, True)):
+                    got = fn(g, fam)
+                    ref, ref_margin = _former_family_sup(g, fam, osc)
+                    assert np.array_equal(got.values, ref)
+                    assert got.margin == ref_margin
+                eta = np.maximum.accumulate(
+                    [max(stat.max(), 0.0)
+                     for _, stat in _former_ball_stats(g, fam, True)])
+                assert np.array_equal(vmo_modulus(g, fam).eta, eta)
+    assert sorted(fam._usable) == [0, 1, 2, 3]
+    u = estimates.grid_from_expr(dom41, estimates.bump_expr(xs2, (0.6, 0.7)),
+                                 xs2)
+    second = {(h, l): estimates.apply_word_grid(g1, (h, l), u)
+              for h in range(2) for l in range(2)}
+    M_second = {key: hl_maximal(v, fam) for key, v in second.items()}
+    A = np.array([[1.2, 0.3], [0.3, 0.8]])
+    for margin in range(2, 4):
+        LAu = GridFunction(dom41, sum(A[i, j] * second[(i, j)].values
+                                      for i in range(2) for j in range(2)),
+                           margin)
+        trust = LAu.interior_mask().ravel()
+        seen = set()
+        for r in (fam.radii[0], 0.45):
+            for k in (2.0, 4.0):
+                cases = sample_balls(fam, r, k, trust, 8) + [(0, 0)]
+                for ci, x0 in cases:
+                    for p in (1.5, 2.0):
+                        rec = maximal.oscillation_check_constant_matrix(
+                            second, M_second, LAu, fam, 0, 1, ci, r, x0, k, p)
+                        ref = _former_record(second, M_second, LAu, fam, 0,
+                                             1, ci, r, x0, k, p)
+                        seen.add(ref is None)
+                        assert rec.skipped == (ref is None)
+                        if ref is not None:
+                            assert (rec.lhs, rec.terms) == ref
+        assert seen == {True, False}
+
+
+def test_family_sup_without_covering_balls_raises(family41, dom41):
+    # margin 19 leaves a 3 x 3 interior, which no family ball fits in
+    f = GridFunction(dom41, np.ones(dom41.counts), 19)
+    for fn in (hl_maximal, sharp_maximal):
+        with pytest.raises(MarginError):
+            fn(f, family41)
+    assert vmo_modulus(f, family41).eta.tolist() == [0.0, 0.0]
