@@ -20,16 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from scipy import sparse
 
 from .domain import BoxDomain
 from .fields import grushin, word_apply_sympy
 from .geometry import (ClippedBallError, ball_measure, cached_distance_field,
                        get_metric)
-from .liftgroup import (CarnotLift, GrushinGamma, HeisenbergGamma, _B_SYMS,
-                        _H_SYMS, _compiled_operator, _graded_levels,
-                        _lifted_sums, _midpoint_axes, _smoothstep_expr,
-                        calibrate_equivalence, graded_nodes_aniso,
-                        lift_grushin1, normalization_constant)
+from .liftgroup import (_A_SYMS, _B_SYMS, _H_SYMS, CarnotLift, GrushinGamma,
+                        HeisenbergGamma, _graded_levels, _lifted_sums,
+                        _matrix_entries, _midpoint_axes, _operator_expr,
+                        _smoothstep_expr, calibrate_equivalence,
+                        graded_nodes_aniso, lift_grushin1,
+                        normalization_constant)
 
 # the one base system, so get_metric's per-system cache (metric and
 # distance fields) is shared by every call in this module
@@ -310,6 +312,46 @@ def cancellation_metric(i: int, j: int, A=None) -> float:
 # the operator and the second-derivative representation
 # ---------------------------------------------------------------------------
 
+# compiled integrands of ``representation_residual`` kept, keyed by the
+# shape of u; a query's u differs from the last one's in its numbers alone
+_COMPILE_CACHE_LIMIT = 32
+
+
+def _float_template(expr: sp.Expr) -> tuple:
+    """expr with its distinct Float atoms replaced by the symbols p0, p1,
+    ..., and the atoms' values.
+
+    sympy sorts a sum's or product's arguments by the bits of their Float
+    coefficients, so traversal order alone would number the atoms of
+    equally shaped expressions differently.  The atoms are numbered
+    instead in the sort order of expr with that atom marked and the
+    others masked, which does not depend on the values; atoms that tie
+    sit in symmetric places, where either numbering gives one template.
+    """
+    atoms = tuple(dict.fromkeys(a for a in sp.preorder_traversal(expr)
+                                if isinstance(a, sp.Float)))
+    mark, mask = sp.symbols("_float_mark _float_mask")
+    floats = sorted(atoms, key=lambda f: sp.default_sort_key(expr.xreplace(
+        {g: mark if g == f else mask for g in atoms})))
+    params = sp.symbols(f"p:{len(floats)}", real=True)
+    return (expr.xreplace(dict(zip(floats, params))), params,
+            tuple(float(a) for a in floats))
+
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE_LIMIT)
+def _compiled_integrand(template: sp.Expr, params: tuple, word=None,
+                        nonzero=None):
+    """X_i X_j u for word = (i, j), or L_A u for the nonzero pattern of A,
+    with u = template, as a numpy function of (y1, y2, *params) and, for
+    L_A u, A's entries (row order) after them.  ``cache_info()`` reports
+    the compiles (misses) and the reuses (hits)."""
+    if word is not None:
+        return sp.lambdify(_B_SYMS + params, word_apply_sympy(
+            _BASE_SYSTEM, word, template, _B_SYMS), "numpy", cse=True)
+    return sp.lambdify(_B_SYMS + params + _A_SYMS, _operator_expr(
+        _BASE_SYSTEM, nonzero, template, _B_SYMS), "numpy", cse=True)
+
+
 def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
                             eps: float = 0.1, R: float = 20.0,
                             cells: int = 64) -> float:
@@ -322,24 +364,31 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     cubature runs in fixed blocks of its base grid (``_lifted_sums``): a
     block evaluates K.w once (``_kernel_levels``, reused on every level by
     homogeneity), and per level only the lifted points and Lu there
-    change; each base point x enters as (x, 0).  L_A u is compiled with
-    symbolic coefficients, so the symbolic work depends on u alone and A
-    enters numerically.  Both integrands are compiled with
-    common-subexpression elimination.
+    change; each base point x enters as (x, 0).  Both integrands are
+    compiled, with common-subexpression elimination, once per shape of u
+    (``_compiled_integrand``): u's numbers and A's entries enter
+    numerically, and L_A u sums only the words of A's nonzero entries.
 
-    Raises ValueError when X_i X_j u vanishes at every point of xs, where
-    the relative residual is undefined.
+    Raises ValueError when xs holds no point, or when X_i X_j u vanishes
+    at every point of xs, where the relative residual is undefined.
     """
-    target_fn = sp.lambdify(
-        _B_SYMS, word_apply_sympy(_BASE_SYSTEM, (i, j), u_expr, _B_SYMS),
-        "numpy", cse=True)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    targets = np.array([float(target_fn(*x)) for x in xs])
+    if xs.size == 0:
+        raise ValueError("representation_residual needs at least one point")
+    template, params, values = _float_template(u_expr)
+    target_fn = _compiled_integrand(template, params, word=(i, j))
+    targets = np.array([float(target_fn(*x, *values)) for x in xs])
     scale = np.max(np.abs(targets))
     if scale == 0.0:
         raise ValueError(f"X_{i} X_{j} u vanishes at every requested point; "
                          "the relative residual is undefined")
-    F_fn = _compiled_operator(_BASE_SYSTEM, A, u_expr, _B_SYMS)
+    a = _matrix_entries(A)
+    op_fn = _compiled_integrand(template, params,
+                                nonzero=tuple(v != 0.0 for v in a))
+
+    def F_fn(y1, y2):
+        return op_fn(y1, y2, *values, *a)
+
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
     grid = _graded_kernel(kernel.profile, cells)
@@ -586,10 +635,10 @@ def log_growth_grid(i: int, j: int, x, A=None) -> tuple:
 # defaults (cells=64) holds about 20 MB, one at cells=16 about 0.4 MB
 _GRID_CACHE_LIMIT = 8
 
-# bytes of T plans kept (``_t_plan``).  A plan holds 24 B per (node,
-# output group) pair: 10-11 MB at cells=16 for the 256 stride-4 outputs on
-# 61^2 (16 groups), so the benchmark's four T-query plans take 42 MB; all
-# of 61^2 takes 36-42 MB, and a scattered point about 0.6 MB
+# bytes of T plans kept (``_t_plan``).  A plan holds 52 B per (node,
+# output group) pair: 21-24 MB at cells=16 for the 256 stride-4 outputs on
+# 61^2 (16 groups), so the benchmark's four T-query plans take 87 MB; all
+# of 61^2 takes 81-93 MB, and a scattered point about 2 MB
 _PLAN_CACHE_BYTES = 128 * 2 ** 20
 
 
@@ -655,41 +704,56 @@ def _kernel_levels(kernel: TruncatedKernel, grid: tuple, block=slice(None)):
 class _TGroup:
     """One group of output points and the nodes whose f-corners it reads.
 
-    sel indexes the plan's node list; f1 and gfrac are the nodes' bilinear
-    fractions along x1 and x2, and cell the table bin of a node's lower
-    f-row corner (its upper-row corner is one table row, nq bins, on).
-    The tables have the given shape (rows, nq) and are contracted with f
-    at rows and cols.
+    sel indexes the plan's node list and f1 holds the nodes' bilinear
+    fractions along x1; with K w at the nodes, wr = [K w (1 - f1), K w f1]
+    holds the weights of their lower- and upper-row f-corners.  bins =
+    (B_lo, B_hi) are read-only CSR matrices, sharing indices and indptr,
+    with one row per table bin that lists the bin's corners in ascending
+    position of wr, valued by the corner's fraction (1 - gfrac) or gfrac
+    along x2.  The tables B_lo @ wr and B_hi @ wr have the given shape
+    (rows, nq) and are contracted with f at rows and cols.
     """
 
     members: np.ndarray
     sel: np.ndarray
     f1: np.ndarray
-    gfrac: np.ndarray
-    cell: np.ndarray
+    bins: tuple
     shape: tuple
     rows: slice
     cols: np.ndarray
 
     def tables(self, kw: np.ndarray) -> list:
         """W_lo, W_hi: K w at the group's nodes times the bilinear corner
-        weights, binned by corner.  W_lo's terms are (K w (1 - f1))
-        (1 - gfrac) at lower-row corners and (K w f1) (1 - gfrac) at
-        upper-row ones, W_hi's the same with gfrac; a bin sums them in
-        node order, lower-row corners first."""
+        weights, binned by corner.  csr_matvec adds a row's terms from 0
+        in stored order, as ``np.bincount`` adds a bin's, so a table entry
+        is bitwise the sum of its corners in node order, lower-row corners
+        first."""
         n = self.sel.size
         w = np.take(kw, self.sel)
-        wr = np.empty((2, n))
-        np.multiply(w, 1.0 - self.f1, out=wr[0])
-        np.multiply(w, self.f1, out=wr[1])
-        idx = np.empty((2, n), dtype=np.intp)
-        idx[0] = self.cell
-        np.add(self.cell, self.shape[1], out=idx[1])
-        idx = idx.ravel()
-        size = self.shape[0] * self.shape[1]
-        return [np.bincount(idx, (wr * frac).ravel(),
-                            minlength=size).reshape(self.shape)
-                for frac in (1.0 - self.gfrac, self.gfrac)]
+        wr = np.empty(2 * n)
+        np.subtract(1.0, self.f1, out=wr[:n])
+        wr[:n] *= w
+        np.multiply(w, self.f1, out=wr[n:])
+        return [(b @ wr).reshape(self.shape) for b in self.bins]
+
+
+def _bin_operators(cell: np.ndarray, gfrac: np.ndarray, shape: tuple):
+    """(B_lo, B_hi) of a group whose nodes' lower-row corners fall in the
+    table bins cell; a node's upper-row corner is one table row (nq bins)
+    on.  A stable sort of the 2n corners by bin lists each bin's corners
+    in ascending position of wr."""
+    corner_bin = np.concatenate([cell, cell + shape[1]])
+    order = np.argsort(corner_bin, kind="stable").astype(np.int32)
+    indptr = np.zeros(shape[0] * shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(corner_bin, minlength=indptr.size - 1),
+              out=indptr[1:])
+    hi = np.concatenate([gfrac, gfrac])[order]
+    lo = 1.0 - hi
+    # frozen first, so that the views the two matrices take are read-only
+    _freeze(order, indptr, lo, hi)
+    return tuple(sparse.csr_matrix((d, order, indptr),
+                                   shape=(indptr.size - 1, order.size))
+                 for d in (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -712,8 +776,10 @@ class _TPlan:
 
     def arrays(self) -> list:
         return [*self.cols, *(a for lev in self.levels for a in lev),
-                *(a for g in self.groups for a in (g.members, g.sel, g.f1,
-                                                   g.gfrac, g.cell, g.cols))]
+                *(a for g in self.groups
+                  for a in (g.members, g.sel, g.f1, g.bins[0].data,
+                            g.bins[1].data, g.bins[0].indices,
+                            g.bins[0].indptr, g.cols))]
 
     @property
     def nbytes(self) -> int:
@@ -722,7 +788,7 @@ class _TPlan:
 
 def _build_t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
                   pts: np.ndarray) -> _TPlan:
-    """The node set, cutoff values and per-group weight-table geometry of
+    """The node set, cutoff values and per-group binning operators of
     ``apply_T_quadrature`` for the (n, 2) output points pts."""
     v0, w0, per_level, s0 = _graded_kernel(profile, cells)
     cols = tuple(np.ascontiguousarray(v0[:, k]) for k in range(3))
@@ -765,13 +831,15 @@ def _build_t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
         nq = int(q.max()) - qmin + 1
         row_lo = b1.min()
         nrow = int(b1.max()) - row_lo + 2
+        # the table bin of a node's lower f-row corner
         cell = (b1 - row_lo) * nq + (q - qmin)
         # columns m + q; any outside [0, c1] read the zero column c1
         fcols = (m[members].astype(np.int64) + qmin)[:, None] + np.arange(nq)
         fcols = np.where((fcols >= 0) & (fcols <= c1), fcols, c1)
-        groups.append(_TGroup(members, sel, r1 - b1, gfrac,
-                              cell.astype(np.int32), (nrow, nq),
-                              slice(row_lo, row_lo + nrow), fcols))
+        groups.append(_TGroup(members, sel, r1 - b1,
+                              _bin_operators(cell, gfrac, (nrow, nq)),
+                              (nrow, nq), slice(row_lo, row_lo + nrow),
+                              fcols))
     plan = _TPlan(cols, w0, tuple(levels), tuple(groups), len(pts))
     _freeze(*plan.arrays())
     return plan
@@ -832,9 +900,20 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
     values, groups, corner fractions and bins) is a plan (``_t_plan``)
     built once per cutoff profile, cells, f's box and output points; a
     call evaluates c0 w0 K once on the base grid, scales it by each level's
-    cutoff, and bins and contracts it per group.
+    cutoff, and per group weighs the corners, bins them by two sparse
+    products and contracts the tables.
+
+    Raises ValueError for points that are not finite or not of shape
+    (n, 2), and for an f that is not on a 2-D box.
     """
+    if f.domain.dim != 2:
+        raise ValueError(f"f must be on a 2-D box, not {f.domain.dim}-D")
     pts = np.atleast_2d(np.asarray(out_points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"output points must be of shape (n, 2), "
+                         f"not {np.shape(out_points)}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("output points must be finite")
     if pts.size == 0:
         return np.zeros(0)
     plan = _t_plan(kernel.profile, cells, f.domain, pts)

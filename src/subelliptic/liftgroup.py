@@ -415,6 +415,26 @@ def _gaussian_bump(widths) -> sp.Expr:
     return sp.exp(-sum((s / wi) ** 2 for s, wi in zip(_H_SYMS, widths)))
 
 
+# the entries a11, a12, a21, a22 of A in L_A u
+_A_SYMS = sp.symbols("a1:5", real=True)
+
+
+def _matrix_entries(A) -> tuple:
+    """A's entries in row order as floats; A None is the identity."""
+    return tuple(float(v) for v in np.ravel(np.eye(2) if A is None else A))
+
+
+def _operator_expr(system, nonzero: tuple, expr: sp.Expr, syms) -> sp.Expr:
+    """L_A u = sum_ij a_ij X_i X_j u over the words whose entry of A is
+    flagged in `nonzero` (row order), each with its entry as a symbol of
+    ``_A_SYMS``."""
+    out = sp.Integer(0)
+    for k, word in enumerate(itertools.product(range(2), repeat=2)):
+        if nonzero[k]:
+            out += _A_SYMS[k] * word_apply_sympy(system, word, expr, syms)
+    return out
+
+
 def _compiled_operator(system, A, expr: sp.Expr, syms):
     """L_A u = sum_ij a_ij X_i X_j u over the two fields of `system`, with
     u = expr, as a numpy function of syms; A None is the identity.
@@ -423,13 +443,11 @@ def _compiled_operator(system, A, expr: sp.Expr, syms):
     a symbol, so the symbolic work depends on u and the zero pattern of A
     alone, and A enters numerically.
     """
-    a = tuple(float(v) for v in np.ravel(np.eye(2) if A is None else A))
-    a_syms = sp.symbols("a1:5", real=True)
-    out = sp.Integer(0)
-    for k, word in enumerate(itertools.product(range(2), repeat=2)):
-        if a[k] != 0.0:
-            out += a_syms[k] * word_apply_sympy(system, word, expr, syms)
-    fn = sp.lambdify(tuple(syms) + a_syms, out, modules="numpy", cse=True)
+    a = _matrix_entries(A)
+    fn = sp.lambdify(tuple(syms) + _A_SYMS,
+                     _operator_expr(system, tuple(v != 0.0 for v in a), expr,
+                                    syms),
+                     modules="numpy", cse=True)
     return lambda *x: fn(*x, *a)
 
 

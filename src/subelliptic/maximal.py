@@ -415,12 +415,23 @@ def sample_balls(fam: BallFamily, r: float, k: float,
                  trust: np.ndarray | None = None, limit: int | None = None):
     """(center_idx, x0_flat) pairs whose kr-enlargement is usable.
 
-    x0_flat is the first grid point of B_r(center); the first limit usable
-    centers are returned, in center order.
+    x0_flat is the first grid point of B_r(center) (0 if it holds none);
+    the first limit usable centers are returned, in center order.  Where r
+    and k r are family radii, both balls are rows of the family's
+    memberships; otherwise they are sliced from the distance table.
     """
     border = fam.domain.border
     unusable = border if trust is None else border | ~trust
-    bad = ((fam.distance < k * r) & unusable).any(axis=1)
-    usable = np.flatnonzero(~bad)[:limit]
-    first = (fam.distance[usable] < r).argmax(axis=1)
+    inner, outer = (np.flatnonzero(fam.radii == x) for x in (r, k * r))
+    if inner.size and outer.size:
+        bad = fam.members[outer[0]] @ unusable > 0
+        usable = np.flatnonzero(~bad)[:limit]
+        balls = fam.members[inner[0]]
+        lo, hi = balls.indptr[usable], balls.indptr[usable + 1]
+        first = np.zeros(usable.size, dtype=np.intp)
+        first[hi > lo] = balls.indices[lo[hi > lo]]
+    else:
+        bad = ((fam.distance < k * r) & unusable).any(axis=1)
+        usable = np.flatnonzero(~bad)[:limit]
+        first = (fam.distance[usable] < r).argmax(axis=1)
     return [(int(ci), int(x0)) for ci, x0 in zip(usable, first)]

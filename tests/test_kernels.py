@@ -1,5 +1,6 @@
 """Truncated singular kernels, cancellation constants, operator action."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -376,19 +377,14 @@ def test_weight_tables_match_gather():
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _apply_T_one_pass(kernel, f, pts, cells=16):
-    """T f with the node set, groups and weight tables built in the same
-    pass as the sums, in the same floating-point order as the plan."""
+def _bincount_groups(kernel, dom, pts, cells=16):
+    """Per output group (members, rows, cols, W_lo, W_hi): the node set,
+    groups and weight tables built in one pass, each table binned by
+    ``np.bincount``, in the same floating-point order as the plan."""
     v1, v2, v3, kw = (np.concatenate(a) for a in zip(*kernels._kernel_levels(
         kernel, kernels._graded_kernel(kernel.profile, cells))))
-    dom = f.domain
     h = dom.spacing
     c0, c1 = dom.counts
-    out = np.zeros(len(pts))
-    f_lo = np.zeros((c0, c1 + 1))
-    f_hi = np.zeros((c0, c1 + 1))
-    f_lo[:, :c1 - 1] = f.values[:, :c1 - 1]
-    f_hi[:, :c1 - 1] = f.values[:, 1:]
     b_add = (-v2 + v1 * v3) / h[1]
     c_mul = -v3 / h[1]
     r2 = (pts[:, 1] - dom.lower[1]) / h[1]
@@ -425,12 +421,69 @@ def _apply_T_one_pass(kernel, f, pts, cells=16):
         W_hi = np.bincount(idx, wr * gg, minlength=nrow * nq)
         cols = (m[members].astype(np.int64) + qmin)[:, None] + np.arange(nq)
         cols = np.where((cols >= 0) & (cols <= c1), cols, c1)
-        rows = slice(row_lo, row_lo + nrow)
-        out[members] = (
-            np.einsum("rq,rgq->g", W_lo.reshape(nrow, nq), f_lo[rows][:, cols])
-            + np.einsum("rq,rgq->g", W_hi.reshape(nrow, nq),
-                        f_hi[rows][:, cols]))
+        yield (members, slice(row_lo, row_lo + nrow), cols,
+               W_lo.reshape(nrow, nq), W_hi.reshape(nrow, nq))
+
+
+def _apply_T_one_pass(kernel, f, pts, cells=16):
+    """T f from the one-pass ``np.bincount`` tables of ``_bincount_groups``,
+    in the same floating-point order as the plan."""
+    c0, c1 = f.domain.counts
+    out = np.zeros(len(pts))
+    f_lo = np.zeros((c0, c1 + 1))
+    f_hi = np.zeros((c0, c1 + 1))
+    f_lo[:, :c1 - 1] = f.values[:, :c1 - 1]
+    f_hi[:, :c1 - 1] = f.values[:, 1:]
+    for members, rows, cols, W_lo, W_hi in _bincount_groups(
+            kernel, f.domain, pts, cells):
+        out[members] = (np.einsum("rq,rgq->g", W_lo, f_lo[rows][:, cols])
+                        + np.einsum("rq,rgq->g", W_hi, f_hi[rows][:, cols]))
     return out
+
+
+def test_binning_operators_equal_the_bincount_tables():
+    # the benchmark's four T-query plans on the stride-4 subgrid of 61^2,
+    # and scattered points, some of whose groups read the zero column c1
+    dom = BoxDomain((-2, -2), (2, 2), (61, 61))
+    axes = [np.asarray(a)[::4] for a in dom.axes()]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+    scattered = np.random.default_rng(5).uniform(-2.4, 2.4, (12, 2))
+    A = np.array([[1.3, 0.4], [0.4, 0.7]])
+    reads_c1 = False
+    for eps, R in ((0.02, 0.5), (0.05, 1.0), (0.1, 2.0), (0.05, 2.0)):
+        k = TruncatedKernel(0, 1, eps, R, A)
+        for out in (grid, scattered):
+            plan = kernels._t_plan(k.profile, 16, dom, out)
+            kw0 = k._c0 * plan.w0 * np.asarray(k._fn(*plan.cols), dtype=float)
+            kw = np.concatenate([kw0[b] * psi for b, psi in plan.levels])
+            ref = list(_bincount_groups(k, dom, out))
+            assert len(ref) == len(plan.groups)
+            for g, (members, rows, cols, ref_lo, ref_hi) in zip(plan.groups,
+                                                                ref):
+                W_lo, W_hi = g.tables(kw)
+                assert np.array_equal(g.members, members)
+                assert g.rows == rows and np.array_equal(g.cols, cols)
+                assert np.array_equal(W_lo, ref_lo)
+                assert np.array_equal(W_hi, ref_hi)
+                reads_c1 |= bool(np.any(cols == dom.counts[1]))
+    assert reads_c1
+
+
+def test_plan_arrays_cover_the_binning_operators():
+    # a group's B_lo and B_hi share one indices and one indptr array,
+    # which the plan's bytes count once
+    dom = BoxDomain((-2, -2), (2, 2), (21, 21))
+    plan = kernels._t_plan(TruncatedKernel(0, 1, 0.05, 1.0).profile, 16, dom,
+                           dom.points()[::5])
+    ids = {id(a) for a in plan.arrays()}
+    assert len(ids) == len(plan.arrays())
+    for g in plan.groups:
+        lo, hi = g.bins
+        assert np.shares_memory(hi.indices, lo.indices)
+        assert np.shares_memory(hi.indptr, lo.indptr)
+        assert {id(lo.data), id(hi.data), id(lo.indices), id(lo.indptr)} <= ids
+        assert lo.nnz == 2 * g.sel.size == 2 * g.f1.size
 
 
 def test_plan_cold_warm_and_cleared_agree_bitwise():
@@ -465,8 +518,10 @@ def test_plan_and_grid_arrays_are_read_only():
     out = dom.points()[::5]
     plan = kernels._t_plan(k.profile, 16, dom, out)
     g = plan.groups[0]
+    lo, hi = g.bins
     for a in (plan.cols[0], plan.levels[0][0], plan.levels[0][1], g.sel,
-              g.f1, g.gfrac, g.cell, g.cols, g.members):
+              g.f1, lo.data, hi.data, lo.indices, lo.indptr, hi.indices,
+              hi.indptr, g.cols, g.members):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     v0, _, per_level, s0 = kernels._graded_kernel(k.profile, 16)
@@ -526,7 +581,7 @@ def test_plan_cache_keeps_the_plan_in_use(monkeypatch):
 
 def test_plan_cache_holds_the_four_benchmark_plans():
     # the (eps, R) pairs of the benchmark's T-queries on its 61^2 stride-4
-    # outputs: about 42 MB of plans, all kept
+    # outputs: about 87 MB of plans, all kept
     dom = BoxDomain((-2, -2), (2, 2), (61, 61))
     axes = [np.asarray(a)[::4] for a in dom.axes()]
     grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
@@ -558,6 +613,31 @@ def test_apply_T_quadrature_single_point():
     assert got.shape == (1,)
     assert np.array_equal(got, kernels.apply_T_quadrature(k, f, x[None]))
     assert got[0] != 0.0
+
+
+@pytest.mark.parametrize("points, match", [
+    (np.array([[np.nan, 0.0]]), "finite"),
+    (np.array([[0.1, 0.2], [0.3, np.inf]]), "finite"),
+    (np.array([[0.1, 0.2, 0.3]]), r"shape \(n, 2\)"),
+    (np.zeros((2, 2, 2)), r"shape \(n, 2\)")])
+def test_apply_T_quadrature_rejects_bad_points(points, match):
+    dom = BoxDomain((-2, -2), (2, 2), (9, 9))
+    kernels._T_PLANS.clear()
+    with pytest.raises(ValueError, match=match):
+        kernels.apply_T_quadrature(TruncatedKernel(0, 1, 0.05, 1.0),
+                                   bump_grid(dom, (0, 0), 0.6), points)
+    # refused before the plan cache is consulted
+    assert not kernels._T_PLANS
+
+
+def test_apply_T_quadrature_rejects_f_off_a_plane():
+    dom = BoxDomain((-1, -1, -1), (1, 1, 1), (9, 9, 9))
+    f = GridFunction(dom, np.ones(dom.counts))
+    kernels._T_PLANS.clear()
+    with pytest.raises(ValueError, match="2-D box"):
+        kernels.apply_T_quadrature(TruncatedKernel(0, 1, 0.05, 1.0), f,
+                                   np.array([[0.1, 0.2]]))
+    assert not kernels._T_PLANS
 
 
 def test_lp_ratio_sweep_builds_one_plan_per_cell():
@@ -653,6 +733,102 @@ def test_representation_rejects_vanishing_target():
         kernels.representation_residual(0, 1, None, u,
                                         [[0.2, 0.0], [-0.3, 0.0]], eps=0.2,
                                         R=10.0, cells=16)
+
+
+@pytest.mark.parametrize("xs", [np.zeros((0, 2)), []])
+def test_representation_rejects_no_points(xs):
+    y1, y2 = kernels._B_SYMS
+    with pytest.raises(ValueError, match="at least one point"):
+        kernels.representation_residual(0, 1, None, sp.exp(-y1 ** 2 - y2 ** 2),
+                                        xs, eps=0.2, R=10.0, cells=16)
+
+
+def _representation_literal(i, j, A, u, xs, eps, R, cells):
+    """The residual with u's integrands compiled from the literal
+    expression, as before compiles were keyed by u's shape."""
+    target_fn = sp.lambdify(kernels._B_SYMS, word_apply_sympy(
+        kernels._BASE_SYSTEM, (i, j), u, kernels._B_SYMS), "numpy", cse=True)
+    F_fn = liftgroup._compiled_operator(kernels._BASE_SYSTEM, A, u,
+                                        kernels._B_SYMS)
+    targets = np.array([float(target_fn(*x)) for x in xs])
+    k = TruncatedKernel(i, j, eps, R, A)
+    grid = kernels._graded_kernel(k.profile, cells)
+    Tv = liftgroup._lifted_sums(
+        functools.partial(kernels._kernel_levels, k, grid),
+        lambda y1, y2, _: F_fn(y1, y2),
+        np.column_stack([xs, np.zeros(len(xs))]), len(grid[0]))
+    preds = Tv + flux_constant(i, j, A) * np.array([float(F_fn(*x))
+                                                    for x in xs])
+    return float(np.max(np.abs(preds - targets)) / np.max(np.abs(targets)))
+
+
+def _gaussian(a, b):
+    y1, y2 = kernels._B_SYMS
+    return sp.exp(-(sp.Float(a) * y1 ** 2 + sp.Float(b) * y2 ** 2))
+
+
+def test_representation_compiles_once_per_shape(monkeypatch):
+    # two Gaussians that differ in their widths alone share both compiled
+    # integrands; a structurally different u compiles its own
+    y1, _ = kernels._B_SYMS
+    A = np.array([[1.3, 0.4], [0.4, 0.8]])
+    xs = np.array([(0.2, 0.3), (-0.1, -0.25)])
+    kw = dict(eps=0.2, R=10.0, cells=16)
+    kernels._compiled_integrand.cache_clear()
+    kernels.representation_residual(0, 1, A, _gaussian(0.9, 1.3), xs, **kw)
+    info = kernels._compiled_integrand.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compiled again for new widths")
+
+    # sympy orders the terms of these exponents unlike the first one's
+    with monkeypatch.context() as m:
+        m.setattr(sp, "lambdify", forbidden)
+        for a, b in ((1.1, 1.7), (1.2, 0.9)):
+            kernels.representation_residual(
+                0, 1, np.array([[0.7, -0.2], [-0.2, 1.6]]), _gaussian(a, b),
+                xs, **kw)
+    info = kernels._compiled_integrand.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    # a diagonal A has another zero pattern, so L_A u compiles again
+    kernels.representation_residual(0, 1, np.diag([0.7, 1.6]),
+                                    _gaussian(1.2, 1.9), xs, **kw)
+    info = kernels._compiled_integrand.cache_info()
+    assert (info.misses, info.hits) == (3, 5)
+    kernels.representation_residual(0, 1, A, _gaussian(1.2, 1.9)
+                                    * sp.cos(sp.Float(0.7) * y1), xs, **kw)
+    info = kernels._compiled_integrand.cache_info()
+    assert (info.misses, info.hits) == (5, 5)
+
+
+def test_compile_cache_evicts_at_its_bound():
+    y1, y2 = kernels._B_SYMS
+    kernels._compiled_integrand.cache_clear()
+    shapes = [y1 ** n * y2 for n in range(kernels._COMPILE_CACHE_LIMIT + 1)]
+    for u in shapes:
+        kernels._compiled_integrand(u, (), word=(0, 1))
+    info = kernels._compiled_integrand.cache_info()
+    assert info.currsize == info.maxsize == kernels._COMPILE_CACHE_LIMIT
+    assert info.misses == len(shapes)
+    # the most recent shape is kept, the first one was evicted
+    kernels._compiled_integrand(shapes[-1], (), word=(0, 1))
+    kernels._compiled_integrand(shapes[0], (), word=(0, 1))
+    info = kernels._compiled_integrand.cache_info()
+    assert (info.hits, info.misses) == (1, len(shapes) + 1)
+
+
+@pytest.mark.parametrize("u, A", [
+    (_gaussian(0.9, 1.3), np.array([[1.3, 0.4], [0.4, 0.8]])),
+    (_gaussian(1.4, 0.85), None),
+    (_gaussian(1.1, 1.6) * sp.cos(sp.Float(0.7) * kernels._B_SYMS[0]),
+     np.array([[0.6, -0.2], [-0.2, 1.8]]))])
+def test_representation_matches_the_literal_compile(u, A):
+    xs = np.array([(0.2, 0.3), (-0.1, -0.25)])
+    got = kernels.representation_residual(0, 1, A, u, xs, eps=0.2, R=10.0,
+                                          cells=16)
+    ref = _representation_literal(0, 1, A, u, xs, 0.2, 10.0, 16)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_new_matrix_needs_no_symbolic_work(monkeypatch):

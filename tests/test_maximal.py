@@ -1,5 +1,6 @@
 """Ball families, maximal functions, VMO moduli, oscillation records."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -282,6 +283,26 @@ def test_sample_balls_match_center_loop(family41, dom41):
         assert got == _sample_balls_loop(family41, r, k, trust, limit)
         found += len(got)
     assert found > 0
+
+
+def test_sample_balls_from_memberships_equal_the_table_path(family41, dom41):
+    # r = radii[0] and 2 r = radii[1] read the memberships alone (the copy
+    # has no distance table); the other copy's radii match neither, so it
+    # slices the distance table
+    r = family41.radii[0]
+    assert 2.0 * r == family41.radii[1]
+    members_only = copy.copy(family41)
+    members_only.distance = None
+    table_only = copy.copy(family41)
+    table_only.radii = family41.radii + 1e-3
+    for margin in range(4):
+        trust = GridFunction(dom41, np.zeros(dom41.counts),
+                             margin).interior_mask().ravel()
+        for limit in (None, 7):
+            got = sample_balls(members_only, r, 2.0, trust, limit)
+            assert got == sample_balls(table_only, r, 2.0, trust, limit)
+            assert got == _sample_balls_loop(family41, r, 2.0, trust, limit)
+            assert got
 
 
 def _former_ball_stats(f, fam, oscillation):
