@@ -11,14 +11,17 @@ free, which does not vanish under refinement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from .domain import BoxDomain
 from .fields import HormanderSystem
+from .pool import _BLOCK, _ordered_imap, _ordered_map, _parts
 
 _BIG = 1e18
 _TOLERANCE = 1e-9        # sweep convergence threshold
@@ -82,6 +85,50 @@ def _corner_weights(domain: BoxDomain, x: np.ndarray) -> tuple:
     return idx, wts, floor
 
 
+class _Move(NamedTuple):
+    """One control move: its time, the rows it cannot take, its operator."""
+
+    cost: float                  # tau times the largest |a_j|
+    invalid: np.ndarray          # ascending rows whose endpoint leaves the
+                                 # grid; their operator rows are empty
+    op: sparse.csr_matrix
+
+
+def _row_view(op: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
+    """Rows lo:hi of op on op's own data and indices; only the row
+    pointers are new.  They are set after construction, because the
+    constructor copies a slice that holds less than half of its buffer."""
+    a, b = op.indptr[lo], op.indptr[hi]
+    view = sparse.csr_matrix((hi - lo, op.shape[1]), dtype=op.dtype)
+    # the first block's pointers need no rebasing, so they stay a view
+    view.indptr = op.indptr[lo:hi + 1] - a if a else op.indptr[lo:hi + 1]
+    view.indices = op.indices[a:b]
+    view.data = op.data[a:b]
+    return view
+
+
+def _sweep_rows(d, d_new, lanes: bool, block) -> np.ndarray:
+    """One sweep of the node rows lo:hi of block = (lo, hi, moves): writes
+    d_new[lo:hi] = min(d, min over moves of cost + P d) from the whole
+    previous iterate d, and returns the rows' largest change per column.
+
+    Each row's arithmetic is that of the whole sweep, so any cut of the
+    rows into blocks gives the same bits.  A move's invalid rows are
+    empty and would compute 0 + _BIG; _BIG is written there directly.
+    """
+    lo, hi, moves = block
+    rows = d_new[lo:hi]
+    rows[...] = d[lo:hi]
+    for cost, invalid, op in moves:
+        cand = op @ d
+        if lanes:
+            cand = cand[0::2] + cand[1::2]
+        cand += cost
+        cand[invalid] = _BIG
+        np.minimum(rows, cand, out=rows)
+    return np.max(d[lo:hi] - rows, axis=0)
+
+
 class CCMetric:
     """Discrete CC metric on a box grid via Bellman value iteration.
 
@@ -89,9 +136,9 @@ class CCMetric:
     the box; each control segment lasts tau = 1.5 min h.  Each control
     move is one sparse operator P with (P d)[p] the
     multilinear interpolation of d at the move's endpoint from p, and one
-    cost per row: the move's time for rows whose endpoint cell lies in the
-    grid, _BIG for the empty rows of moves that leave it.  A sweep is then
-    d <- min(d, min over moves of cost + P d).
+    cost: the move's time, on rows whose endpoint cell lies in the grid;
+    _BIG on the empty rows of nodes whose endpoint leaves it.  A sweep is
+    then d <- min(d, min over moves of cost + P d).
     """
 
     def __init__(self, system, domain: BoxDomain):
@@ -104,44 +151,61 @@ class CCMetric:
         self._corner_moves = None
         self._field_cache = {}           # see cached_distance_field
 
-    def _build_moves(self):
-        """(cost, P) per move, P in the two-lane layout (2p x p).
+    def _build_moves(self) -> list:
+        """A _Move per control, P in the two-lane layout (2p x p).
 
         Rows 2i and 2i + 1 hold the even and the odd corners of node i
         (itertools.product order), so (P d)[0::2] + (P d)[1::2] sums the
         corners as the two lanes (c0 + c2 + ...) + (c1 + c3 + ...).
         Corners of weight 0 are not stored: d is finite, so they would
         add 0 to a lane sum.
+
+        The moves are independent.  On a grid of at least ``_BLOCK``
+        nodes their flows run on the ordered thread map, and the caller
+        assembles each operator while the workers go on.  The operators
+        outlive the build, so their arrays are made on the caller's heap:
+        made on a worker's, they stayed resident after the metric was
+        freed whenever a later allocation there pinned them (the
+        ``singular`` set-up then ended at 198 MB instead of 115 MB).
         """
-        dom, fields, tau = self.domain, self.fields, self.tau
-        pts = dom.points()
-        npts, counts = dom.num_points, np.array(dom.counts)
+        levels = np.linspace(-1.0, 1.0, 5)
+        controls = [np.array(c) for c in
+                    itertools.product(levels, repeat=len(self.fields))
+                    if np.max(np.abs(c)) > 0.0]
+        flow = functools.partial(self._move_corners, self.domain.points())
+        corners = (_ordered_imap if self.domain.num_points >= _BLOCK
+                   else map)(flow, controls)
+        return [self._assemble_move(a, *c) for a, c in zip(controls, corners)]
+
+    def _move_corners(self, pts: np.ndarray, a: np.ndarray) -> tuple:
+        """(valid, weights, indices) of the control a: which nodes' flow
+        endpoints lie in the grid, and those nodes' corner weights and
+        flat int32 indices in lane order, one row per valid node."""
+        dom = self.domain
         ncorner = 2 ** dom.dim
         lanes = np.r_[0:ncorner:2, 1:ncorner:2]
-        levels = np.linspace(-1.0, 1.0, 5)
-        moves = []
-        for combo in itertools.product(levels, repeat=len(fields)):
-            a = np.array(combo)
-            amax = np.max(np.abs(a))
-            if amax == 0.0:
-                continue
-            end = _rk4_flow(fields, a, pts, tau)
-            idx, wts, cell = _corner_weights(dom, end)
-            # a move whose endpoint cell leaves the grid is not taken
-            valid = np.all((cell >= 0) & (cell <= counts - 2), axis=1)
-            row_nnz = np.repeat(valid * (ncorner // 2), 2)
-            indptr = np.zeros(2 * npts + 1, dtype=np.int32)
-            np.cumsum(row_nnz, out=indptr[1:])
-            op = sparse.csr_matrix(
-                (wts[valid][:, lanes].ravel(),
-                 idx[valid][:, lanes].ravel().astype(np.int32), indptr),
-                shape=(2 * npts, npts))
-            op.eliminate_zeros()
-            moves.append((np.where(valid, tau * amax, _BIG), op))
-        return moves
+        idx, wts, cell = _corner_weights(
+            dom, _rk4_flow(self.fields, a, pts, self.tau))
+        # a move whose endpoint cell leaves the grid is not taken
+        valid = np.all((cell >= 0) & (cell <= np.array(dom.counts) - 2),
+                       axis=1)
+        rows = np.flatnonzero(valid)[:, None]
+        return valid, wts[rows, lanes], idx[rows, lanes].astype(np.int32)
 
-    def _corner_order_moves(self):
-        """(cost, P) per move, P (p x p) summing the corners in order.
+    def _assemble_move(self, a, valid, wts, idx) -> _Move:
+        npts = self.domain.num_points
+        stored = wts != 0.0
+        row_nnz = np.zeros((npts, 2), dtype=np.int32)
+        row_nnz[valid] = stored.reshape(len(wts), 2, -1).sum(axis=2)
+        indptr = np.zeros(2 * npts + 1, dtype=np.int32)
+        np.cumsum(row_nnz, out=indptr[1:])
+        op = sparse.csr_matrix((wts[stored], idx[stored], indptr),
+                               shape=(2 * npts, npts))
+        return _Move(self.tau * float(np.max(np.abs(a))),
+                     np.flatnonzero(~valid), op)
+
+    def _corner_order_moves(self) -> list:
+        """The moves with P (p x p) summing the corners in order.
 
         Derived once from the two-lane operators by joining each node's
         two lane rows and sorting their columns: the corners' flat indices
@@ -150,13 +214,34 @@ class CCMetric:
         if self._corner_moves is None:
             npts = self.domain.num_points
             self._corner_moves = []
-            for cost, op in self._moves:
+            for move in self._moves:
                 joined = sparse.csr_matrix(
-                    (op.data, op.indices, op.indptr[0::2]),
+                    (move.op.data, move.op.indices, move.op.indptr[0::2]),
                     shape=(npts, npts), copy=True)
                 joined.sort_indices()
-                self._corner_moves.append((cost, joined))
+                self._corner_moves.append(move._replace(op=joined))
         return self._corner_moves
+
+    def _row_blocks(self, moves: list, parts: int, width: int) -> list:
+        """(lo, hi, moves) per part of the node rows, in row order.
+
+        width is the number of operator rows per node.  A block's
+        operators are row views of the moves', and its invalid rows are
+        rebased to its first row.
+        """
+        npts = self.domain.num_points
+        if parts == 1:
+            return [(0, npts, moves)]
+        cuts = [npts * k // parts for k in range(parts + 1)]
+        blocks = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part = []
+            for cost, invalid, op in moves:
+                a, b = np.searchsorted(invalid, (lo, hi))
+                part.append(_Move(cost, invalid[a:b] - lo,
+                                  _row_view(op, width * lo, width * hi)))
+            blocks.append((lo, hi, part))
+        return blocks
 
     def distance_fields(self, sources) -> np.ndarray:
         """Distances from each source point; shape (k, num_points).
@@ -167,6 +252,12 @@ class CCMetric:
         largest change of its live columns falls below the tolerance, the
         sweep at which it would stop with every column kept, so every
         field is the one the full batch would return.
+
+        A sweep runs in contiguous blocks of node rows on the ordered
+        thread map, one per worker while each holds at least ``_BLOCK``
+        node-values.  Every row's arithmetic and the stop sweep are those
+        of one block, so the fields do not depend on the number of
+        workers.
 
         Raises UnresolvedDistanceError when the sweeps have not settled
         within the budget of 20 box diameters per tau plus 100, or when
@@ -185,22 +276,21 @@ class CCMetric:
         # order for both would move recorded results (the perfbench
         # `balls` workload builds one-source fields, its `realanalysis`
         # workload 48-source batches); both layouts are kept.
-        moves = self._moves if nsrc == 1 else self._corner_order_moves()
+        lanes = nsrc == 1
+        moves = self._moves if lanes else self._corner_order_moves()
+        width = 2 if lanes else 1
         diameter = float(np.linalg.norm(
             np.array(self.domain.upper) - np.array(self.domain.lower)))
         max_sweeps = int(20 * diameter / self.tau) + 100
         tol = _TOLERANCE
         out = np.empty((nsrc, npts))
         live = np.arange(nsrc)
-        d_new = d.copy()
+        parts = _parts(npts * nsrc)
+        blocks = self._row_blocks(moves, parts, width)
+        d_new = np.empty_like(d)
         for sweep in range(1, max_sweeps + 1):
-            for cost, op in moves:
-                cand = op @ d
-                if nsrc == 1:
-                    cand = cand[0::2] + cand[1::2]
-                cand += cost[:, None]
-                np.minimum(d_new, cand, out=d_new)
-            change = np.max(d - d_new, axis=0)
+            change = np.maximum.reduce(_ordered_map(
+                functools.partial(_sweep_rows, d, d_new, lanes), blocks))
             delta = change.max()
             d, d_new = d_new, d
             if delta < tol:
@@ -216,9 +306,10 @@ class CCMetric:
                         f"sweeps, but the tolerance {tol:.3g} asks for a "
                         "change below it")
                 d = d[:, ~settled]
-                d_new = d.copy()
-            else:
-                d_new[...] = d
+                d_new = np.empty_like(d)
+                if _parts(npts * live.size) != parts:
+                    parts = _parts(npts * live.size)
+                    blocks = self._row_blocks(moves, parts, width)
         raise UnresolvedDistanceError(
             f"value iteration not converged after {max_sweeps} sweeps "
             f"(last change {delta:.3g}, tolerance {tol:.3g})")

@@ -30,7 +30,7 @@ from .domain import BoxDomain, GridFunction
 from .fields import (Poly, PolyVectorField, HormanderSystem, grushin,
                      example3, poly_to_sympy, word_apply_sympy)
 from .geometry import CCMetric, ball_measure, ball_volume
-from .pool import _ordered_map
+from .pool import _BLOCK, _ordered_map
 
 
 @dataclass(eq=False)
@@ -498,19 +498,6 @@ def _graded_levels(half_widths, cells_per_axis, levels: int,
             drop &= np.abs(ax * scale[k]) < edge[k]
         per_level.append((scale, ~drop.ravel()))
     return v0.reshape(-1, dim), float(np.prod(step)), per_level
-
-
-# Base-grid nodes per block of a streamed cubature.  An integrand's
-# temporaries then hold 256 KB each, so a block's working set stays inside
-# a 2 MB L2 cache; whole levels (0.26-2 M nodes) do not.
-# The speed also rests on glibc's allocator: block temporaries are reused
-# from the heap only while its dynamic mmap and trim thresholds stand above
-# their size, which holds once a larger temporary has been freed (probably
-# the 2 MB hole masks of _graded_levels; not verified).  With the trim
-# threshold frozen at 128 KB (MALLOC_MMAP_THRESHOLD_=4194304 alone) the
-# heap is trimmed and refilled per block, and the one-worker normalization
-# cubature takes 2.8-3.4 s instead of 1.3-1.4 s (2-core Xeon VM).
-_BLOCK = 1 << 15
 
 
 def _lifted_sums(levels, F, xs, n: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""An ordered map over one thread per usable core.
+"""An ordered map over one persistent thread per usable core.
 
 The mapped work is numpy and scipy.sparse on arrays of a block's size,
 which release the interpreter lock, so threads run it in parallel.  The
@@ -11,32 +11,103 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 
 # one worker per usable core
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
+# The package's one grain size: work is cut into parts of at least this
+# many node-values.  A streamed cubature's temporaries then hold 256 KB
+# each, so a block's working set stays inside a 2 MB L2 cache; whole
+# levels (0.26-2 M nodes) do not.  Below it a part's numpy calls are too
+# short for a thread to pay: a two-way split of one 81^2 distance field
+# ran at 0.46x.
+# The cubatures' speed also rests on glibc's allocator: block temporaries
+# are reused from the heap only while its dynamic mmap and trim thresholds
+# stand above their size, which holds once a larger temporary has been
+# freed (probably the 2 MB hole masks of liftgroup._graded_levels; not
+# verified).  With the trim threshold frozen at 128 KB
+# (MALLOC_MMAP_THRESHOLD_=4194304 alone) the heap is trimmed and refilled
+# per block, and the one-worker normalization cubature takes 2.8-3.4 s
+# instead of 1.3-1.4 s (2-core Xeon VM).
+_BLOCK = 1 << 15
+
 _POOL_THREAD = threading.local()
+_LOCK = threading.Lock()
+_EXECUTOR = None                 # (workers, ThreadPoolExecutor), made on use
 
 
 def _enter_pool():
     _POOL_THREAD.active = True
 
 
+def _in_worker() -> bool:
+    return getattr(_POOL_THREAD, "active", False)
+
+
+def _forget_executor():
+    # a forked child inherits the executor but none of its threads
+    global _EXECUTOR
+    _EXECUTOR = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The process's executor of ``_WORKERS`` threads, remade when
+    ``_WORKERS`` has changed since it was made."""
+    global _EXECUTOR
+    with _LOCK:
+        if _EXECUTOR is None or _EXECUTOR[0] != _WORKERS:
+            if _EXECUTOR is not None:
+                _EXECUTOR[1].shutdown()
+            _EXECUTOR = (_WORKERS, ThreadPoolExecutor(
+                _WORKERS, thread_name_prefix="subelliptic",
+                initializer=_enter_pool))
+        return _EXECUTOR[1]
+
+
+def _parts(values: int) -> int:
+    """How many parts to cut work on `values` node-values into: one per
+    worker, each of at least ``_BLOCK`` values, and one inside a worker,
+    where maps run inline."""
+    if _in_worker():
+        return 1
+    return max(1, min(_WORKERS, values // _BLOCK))
+
+
 def _ordered_map(fn, items) -> list:
     """[fn(item) for item in items], on up to ``_WORKERS`` threads.
 
     Results come back in item order, and an exception raised by fn reaches
-    the caller as raised.  A map called from inside a worker runs inline,
-    so nested maps cannot deadlock waiting for the threads they occupy.
+    the caller as raised, once no item is running any more.  A map called
+    from inside a worker runs inline, so nested maps cannot deadlock
+    waiting for the threads they occupy.
     """
+    return list(_ordered_imap(fn, items))
+
+
+def _ordered_imap(fn, items):
+    """fn(item) for each item, yielded in item order as ``_ordered_map``
+    computes it.  The workers run at most two items per worker ahead of
+    the caller, so results that the caller has not taken yet stay few."""
     items = list(items)
-    workers = min(_WORKERS, len(items))
-    if workers < 2 or getattr(_POOL_THREAD, "active", False):
-        return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(workers, initializer=_enter_pool)
+    if min(_WORKERS, len(items)) < 2 or _in_worker():
+        yield from map(fn, items)
+        return
+    pool, ahead = _executor(), 2 * _WORKERS
+    pending = deque(pool.submit(fn, item) for item in items[:ahead])
     try:
-        return list(pool.map(fn, items))
+        for item in items[ahead:]:
+            pending.append(pool.submit(fn, item))
+            yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        for f in pending:
+            f.cancel()
+        wait(pending)

@@ -21,11 +21,15 @@ def _unretired_fields(metric, sources):
     moves = metric._moves if nsrc == 1 else metric._corner_order_moves()
     d_new = d.copy()
     while True:
-        for cost, op in moves:
+        for cost, invalid, op in moves:
+            # the former per-row costs: the move's time, _BIG where the
+            # move leaves the grid
+            row_cost = np.full(npts, cost)
+            row_cost[invalid] = geometry._BIG
             cand = op @ d
             if nsrc == 1:
                 cand = cand[0::2] + cand[1::2]
-            cand += cost[:, None]
+            cand += row_cost[:, None]
             np.minimum(d_new, cand, out=d_new)
         delta = np.max(d - d_new)
         d, d_new = d_new, d

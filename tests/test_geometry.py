@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import subelliptic
-from subelliptic import fields, geometry
+from subelliptic import fields, geometry, pool
 from subelliptic.domain import BoxDomain
 from subelliptic.geometry import (ClippedBallError, ball_volume, cc_distance,
                                   cached_distance_field, get_metric,
@@ -213,20 +213,22 @@ def test_moves_and_interpolation_match_corner_loop(g1, dom41):
     # each move operator holds the former per-corner tables bitwise: on
     # valid rows the columns and weights of the nonzero corners (corner
     # order in the corner-order layout, even then odd corners in the
-    # two-lane one), on rows of moves that leave the grid no entries and
-    # the cost _BIG
+    # two-lane one), on rows of moves that leave the grid no entries; the
+    # move's one cost is the former valid rows' cost, and its invalid rows
+    # are the rows that leave the grid
     for m in (get_metric(g1, dom41), _lifted_metric()):
         ref = _moves_per_corner(m)
         ncorner = 2 ** m.domain.dim
         lanes = np.r_[0:ncorner:2, 1:ncorner:2]
         assert len(ref) == len(m._moves) == len(m._corner_order_moves())
-        for (cost, op), (ccost, cop), (rc, ridx, rwts, rvalid) in zip(
-                m._moves, m._corner_order_moves(), ref):
+        for (cost, invalid, op), (ccost, cinvalid, cop), \
+                (rc, ridx, rwts, rvalid) in zip(
+                    m._moves, m._corner_order_moves(), ref):
             stored = rvalid[:, None] & (rwts != 0.0)
             lane_stored = stored[:, lanes]
-            assert np.array_equal(cost, ccost)
-            assert np.all(cost[rvalid] == rc)
-            assert np.all(cost[~rvalid] == geometry._BIG)
+            assert cost == ccost == rc
+            assert np.array_equal(invalid, np.flatnonzero(~rvalid))
+            assert np.array_equal(cinvalid, invalid)
             assert op.shape == (2 * len(rvalid), len(rvalid))
             assert np.array_equal(
                 np.diff(op.indptr),
@@ -290,6 +292,94 @@ def test_settled_columns_match_unretired_sweep(g1, dom41, unretired_fields):
     batch = [(0.0, 2.0), (0.0, 0.0), (0.5, -0.5), (-1.0, 0.3)]
     assert np.array_equal(m.distance_fields(batch),
                           unretired_fields(m, batch))
+
+
+def _map_sizes(monkeypatch):
+    """Record the item count of every ordered map that geometry makes."""
+    sizes = []
+
+    def spy(mapper):
+        def counted(fn, items):
+            items = list(items)
+            sizes.append(len(items))
+            return mapper(fn, items)
+        return counted
+
+    for name in ("_ordered_map", "_ordered_imap"):
+        monkeypatch.setattr(geometry, name, spy(getattr(pool, name)))
+    return sizes
+
+
+def test_lifted_field_and_moves_independent_of_workers(monkeypatch):
+    # the 41^3 calibration grid: its moves are built on the pool and its
+    # sweeps run in two row blocks, with the one-worker bits
+    from subelliptic.liftgroup import lift_grushin1
+    lift = lift_grushin1()
+    dom = BoxDomain((-1.3,) * 3, (1.3,) * 3, (41,) * 3)
+    monkeypatch.setattr(pool, "_WORKERS", 1)
+    one = geometry.CCMetric(lift, dom)
+    field_one = one.distance_field(np.zeros(3))
+    monkeypatch.setattr(pool, "_WORKERS", 2)
+    sizes = _map_sizes(monkeypatch)
+    two = geometry.CCMetric(lift, dom)
+    assert sizes == [len(two._moves)] == [24]
+    for a, b in zip(one._moves, two._moves):
+        assert a.cost == b.cost
+        assert np.array_equal(a.invalid, b.invalid)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a.op, attr), getattr(b.op, attr))
+    sizes.clear()
+    assert np.array_equal(two.distance_field(np.zeros(3)), field_one)
+    assert set(sizes) == {2}
+
+
+def test_row_blocks_are_views_of_the_moves(g1, dom41):
+    # a block's operators share the move's data and indices, only their
+    # row pointers are new; the blocks cut the rows in order
+    m = get_metric(g1, dom41)
+    npts = dom41.num_points
+    for moves, width in ((m._moves, 2), (m._corner_order_moves(), 1)):
+        blocks = m._row_blocks(moves, 3, width)
+        cuts = [lo for lo, _, _ in blocks] + [blocks[-1][1]]
+        assert cuts == [0, npts // 3, 2 * npts // 3, npts]
+        for lo, hi, part in blocks:
+            for move, (cost, invalid, op) in zip(moves, part):
+                ref = move.op[width * lo:width * hi]
+                assert cost == move.cost
+                assert np.shares_memory(op.data, move.op.data)
+                assert np.shares_memory(op.indices, move.op.indices)
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(op, attr),
+                                          getattr(ref, attr))
+                keep = (move.invalid >= lo) & (move.invalid < hi)
+                assert np.array_equal(invalid + lo, move.invalid[keep])
+
+
+@pytest.mark.parametrize("workers, block", [(2, pool._BLOCK), (3, 1000)])
+def test_batch_fields_independent_of_row_blocks(g1, dom41, monkeypatch,
+                                                workers, block):
+    # a 48-source batch: the live columns fall as fields settle, and the
+    # sweeps go from several row blocks to one
+    m = get_metric(g1, dom41)
+    batch = dom41.points()[::35][:48]
+    monkeypatch.setattr(pool, "_WORKERS", 1)
+    ref = m.distance_fields(batch)
+    monkeypatch.setattr(pool, "_WORKERS", workers)
+    monkeypatch.setattr(pool, "_BLOCK", block)
+    sizes = _map_sizes(monkeypatch)
+    assert np.array_equal(m.distance_fields(batch), ref)
+    assert sizes[0] == workers and sizes[-1] == 1
+
+
+def test_small_field_makes_no_pool_map(g1, dom81, monkeypatch):
+    # an 81^2 move and field stay on the calling thread
+    def no_pool():
+        raise AssertionError("pool used")
+
+    monkeypatch.setattr(pool, "_WORKERS", 2)
+    monkeypatch.setattr(pool, "_executor", no_pool)
+    m = geometry.CCMetric(g1, dom81)
+    assert m.distance_field((0.5, 0.2)).shape == (dom81.num_points,)
 
 
 def test_unconverged_value_iteration_raises(g1, monkeypatch):
