@@ -94,39 +94,32 @@ class _Move(NamedTuple):
     op: sparse.csr_matrix
 
 
-def _row_view(op: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
-    """Rows lo:hi of op on op's own data and indices; only the row
-    pointers are new.  They are set after construction, because the
-    constructor copies a slice that holds less than half of its buffer."""
-    a, b = op.indptr[lo], op.indptr[hi]
-    view = sparse.csr_matrix((hi - lo, op.shape[1]), dtype=op.dtype)
-    # the first block's pointers need no rebasing, so they stay a view
-    view.indptr = op.indptr[lo:hi + 1] - a if a else op.indptr[lo:hi + 1]
-    view.indices = op.indices[a:b]
-    view.data = op.data[a:b]
-    return view
+def _sweep_moves(d, lanes: bool, part) -> np.ndarray:
+    """min(d, min over the moves of part = (out, moves) of cost + P d),
+    written into out and returned.  A move's invalid rows are empty and
+    would compute 0 + _BIG; _BIG is written there directly.
 
-
-def _sweep_rows(d, d_new, lanes: bool, block) -> np.ndarray:
-    """One sweep of the node rows lo:hi of block = (lo, hi, moves): writes
-    d_new[lo:hi] = min(d, min over moves of cost + P d) from the whole
-    previous iterate d, and returns the rows' largest change per column.
-
-    Each row's arithmetic is that of the whole sweep, so any cut of the
-    rows into blocks gives the same bits.  A move's invalid rows are
-    empty and would compute 0 + _BIG; _BIG is written there directly.
+    Every value is finite and every candidate positive, so the minimum is
+    exact in any order: the minimum of the parts' results is the bits of
+    one part holding every move.
     """
-    lo, hi, moves = block
-    rows = d_new[lo:hi]
-    rows[...] = d[lo:hi]
+    out, moves = part
+    out[...] = d
     for cost, invalid, op in moves:
         cand = op @ d
         if lanes:
             cand = cand[0::2] + cand[1::2]
         cand += cost
         cand[invalid] = _BIG
-        np.minimum(rows, cand, out=rows)
-    return np.max(d[lo:hi] - rows, axis=0)
+        np.minimum(out, cand, out=out)
+    return out
+
+
+def _move_groups(moves: list, values: int) -> list:
+    """The moves in ``_parts(values)`` contiguous groups, in move order."""
+    parts = _parts(values)
+    cuts = [len(moves) * k // parts for k in range(parts + 1)]
+    return [moves[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 class CCMetric:
@@ -222,27 +215,6 @@ class CCMetric:
                 self._corner_moves.append(move._replace(op=joined))
         return self._corner_moves
 
-    def _row_blocks(self, moves: list, parts: int, width: int) -> list:
-        """(lo, hi, moves) per part of the node rows, in row order.
-
-        width is the number of operator rows per node.  A block's
-        operators are row views of the moves', and its invalid rows are
-        rebased to its first row.
-        """
-        npts = self.domain.num_points
-        if parts == 1:
-            return [(0, npts, moves)]
-        cuts = [npts * k // parts for k in range(parts + 1)]
-        blocks = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            part = []
-            for cost, invalid, op in moves:
-                a, b = np.searchsorted(invalid, (lo, hi))
-                part.append(_Move(cost, invalid[a:b] - lo,
-                                  _row_view(op, width * lo, width * hi)))
-            blocks.append((lo, hi, part))
-        return blocks
-
     def distance_fields(self, sources) -> np.ndarray:
         """Distances from each source point; shape (k, num_points).
 
@@ -253,11 +225,12 @@ class CCMetric:
         sweep at which it would stop with every column kept, so every
         field is the one the full batch would return.
 
-        A sweep runs in contiguous blocks of node rows on the ordered
-        thread map, one per worker while each holds at least ``_BLOCK``
-        node-values.  Every row's arithmetic and the stop sweep are those
-        of one block, so the fields do not depend on the number of
-        workers.
+        A sweep splits the moves into contiguous parts on the ordered
+        thread map, one per worker while each part's iterate holds at
+        least ``_BLOCK`` node-values.  Each part takes the minimum of the
+        previous iterate and its moves' candidates into a buffer of its
+        own, and the sweep the minimum of the parts' buffers; minima are
+        exact, so the fields do not depend on the number of workers.
 
         Raises UnresolvedDistanceError when the sweeps have not settled
         within the budget of 20 box diameters per tau plus 100, or when
@@ -278,21 +251,22 @@ class CCMetric:
         # workload 48-source batches); both layouts are kept.
         lanes = nsrc == 1
         moves = self._moves if lanes else self._corner_order_moves()
-        width = 2 if lanes else 1
         diameter = float(np.linalg.norm(
             np.array(self.domain.upper) - np.array(self.domain.lower)))
         max_sweeps = int(20 * diameter / self.tau) + 100
         tol = _TOLERANCE
         out = np.empty((nsrc, npts))
         live = np.arange(nsrc)
-        parts = _parts(npts * nsrc)
-        blocks = self._row_blocks(moves, parts, width)
-        d_new = np.empty_like(d)
+        groups = _move_groups(moves, npts * nsrc)
+        bufs = [np.empty_like(d) for _ in groups]
         for sweep in range(1, max_sweeps + 1):
-            change = np.maximum.reduce(_ordered_map(
-                functools.partial(_sweep_rows, d, d_new, lanes), blocks))
+            d_new, *rest = _ordered_map(
+                functools.partial(_sweep_moves, d, lanes), zip(bufs, groups))
+            for other in rest:
+                np.minimum(d_new, other, out=d_new)
+            change = np.max(d - d_new, axis=0)
             delta = change.max()
-            d, d_new = d_new, d
+            d, bufs[0] = d_new, d
             if delta < tol:
                 out[live] = d.T
                 return out
@@ -306,10 +280,8 @@ class CCMetric:
                         f"sweeps, but the tolerance {tol:.3g} asks for a "
                         "change below it")
                 d = d[:, ~settled]
-                d_new = np.empty_like(d)
-                if _parts(npts * live.size) != parts:
-                    parts = _parts(npts * live.size)
-                    blocks = self._row_blocks(moves, parts, width)
+                groups = _move_groups(moves, npts * live.size)
+                bufs = [np.empty_like(d) for _ in groups]
         raise UnresolvedDistanceError(
             f"value iteration not converged after {max_sweeps} sweeps "
             f"(last change {delta:.3g}, tolerance {tol:.3g})")

@@ -325,10 +325,8 @@ def fitted_constant(records) -> float:
     return float(max(ratios))
 
 
-def mean_oscillation(vals_flat: np.ndarray, ball: np.ndarray) -> float:
-    """Mean of |f - f_B| over the ball, given as a mask or as ascending
-    point indices (the same values in the same order)."""
-    sel = vals_flat[ball]
+def mean_oscillation(vals_flat: np.ndarray, mask: np.ndarray) -> float:
+    sel = vals_flat[mask]
     return float(np.abs(sel - sel.mean()).mean())
 
 
@@ -337,35 +335,22 @@ def _oscillation_record(second: dict, M_second: dict, trusted: GridFunction,
                         r: float, x0_flat: int, k: float, p: float,
                         rest) -> OscillationRecord:
     """Record of the mean oscillation of second[(i, j)] over B_r against
-    t1 = sum of M_second at x0 over k and the terms rest(ball_kr), with
-    ball_kr the index of B_kr (``_ball``); skipped when B_kr reaches the
-    box faces or leaves trusted's interior."""
+    t1 = sum of M_second at x0 over k and the terms rest(mask_kr); skipped
+    when B_kr reaches the box faces or leaves trusted's interior."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    ball_kr = _ball(fam, center_idx, k * r)
-    if fam.usable(trusted).outside[ball_kr].any():
+    dist = fam.distance[center_idx]
+    mask_r, mask_kr = dist < r, dist < k * r
+    if np.any(mask_kr & fam.usable(trusted).outside):
         return OscillationRecord(np.nan, (), k, p, r, center_idx, x0_flat,
                                  skipped=True, note="enlarged ball unusable")
-    if not fam.distance[center_idx, x0_flat] < r:
+    if not mask_r[x0_flat]:
         raise ValueError("x0 lies outside the ball")
-    lhs = mean_oscillation(second[(i, j)].values.ravel(),
-                           _ball(fam, center_idx, r))
+    lhs = mean_oscillation(second[(i, j)].values.ravel(), mask_r)
     t1 = sum(M_second[key].values.ravel()[x0_flat]
              for key in M_second) / k
-    return OscillationRecord(lhs, (t1,) + rest(ball_kr), k, p, r,
+    return OscillationRecord(lhs, (t1,) + rest(mask_kr), k, p, r,
                              center_idx, x0_flat)
-
-
-def _ball(fam: BallFamily, center_idx: int, r: float) -> np.ndarray:
-    """B_r(center) as an index into grid functions: the membership row's
-    ascending points when r is a family radius, else the boolean slice of
-    the center's distance row.  Both select the same values in the same
-    order."""
-    for k, radius in enumerate(fam.radii):
-        if radius == r:
-            m = fam.members[k]
-            return m.indices[m.indptr[center_idx]:m.indptr[center_idx + 1]]
-    return fam.distance[center_idx] < r
 
 
 def oscillation_check_abstract(Tf: GridFunction, f: GridFunction,
@@ -391,8 +376,8 @@ def oscillation_check_constant_matrix(
     second maps (h, l) to the grid of X_hX_lu, M_second to its precomputed
     family maximal; LAu is the constant-matrix operator applied to u.
     """
-    def source_term(ball_kr):
-        avg = float((np.abs(LAu.values.ravel()[ball_kr]) ** p).mean())
+    def source_term(mask_kr):
+        avg = float((np.abs(LAu.values.ravel()[mask_kr]) ** p).mean())
         return (k ** (fam.q / p) * avg ** (1.0 / p),)
 
     return _oscillation_record(second, M_second, LAu, fam, i, j, center_idx,

@@ -1,4 +1,4 @@
-"""An ordered map over one persistent thread per usable core.
+"""An ordered map over one thread per usable core.
 
 The mapped work is numpy and scipy.sparse on arrays of a block's size,
 which release the interpreter lock, so threads run it in parallel.  The
@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 # one worker per usable core
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -35,8 +35,6 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _BLOCK = 1 << 15
 
 _POOL_THREAD = threading.local()
-_LOCK = threading.Lock()
-_EXECUTOR = None                 # (workers, ThreadPoolExecutor), made on use
 
 
 def _enter_pool():
@@ -45,30 +43,6 @@ def _enter_pool():
 
 def _in_worker() -> bool:
     return getattr(_POOL_THREAD, "active", False)
-
-
-def _forget_executor():
-    # a forked child inherits the executor but none of its threads
-    global _EXECUTOR
-    _EXECUTOR = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The process's executor of ``_WORKERS`` threads, remade when
-    ``_WORKERS`` has changed since it was made."""
-    global _EXECUTOR
-    with _LOCK:
-        if _EXECUTOR is None or _EXECUTOR[0] != _WORKERS:
-            if _EXECUTOR is not None:
-                _EXECUTOR[1].shutdown()
-            _EXECUTOR = (_WORKERS, ThreadPoolExecutor(
-                _WORKERS, thread_name_prefix="subelliptic",
-                initializer=_enter_pool))
-        return _EXECUTOR[1]
 
 
 def _parts(values: int) -> int:
@@ -84,30 +58,38 @@ def _ordered_map(fn, items) -> list:
     """[fn(item) for item in items], on up to ``_WORKERS`` threads.
 
     Results come back in item order, and an exception raised by fn reaches
-    the caller as raised, once no item is running any more.  A map called
-    from inside a worker runs inline, so nested maps cannot deadlock
-    waiting for the threads they occupy.
+    the caller as raised.  A map called from inside a worker runs inline,
+    so nested maps cannot deadlock waiting for the threads they occupy.
     """
-    return list(_ordered_imap(fn, items))
+    items = list(items)
+    workers = min(_WORKERS, len(items))
+    if workers < 2 or _in_worker():
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(workers, initializer=_enter_pool)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _ordered_imap(fn, items):
     """fn(item) for each item, yielded in item order as ``_ordered_map``
     computes it.  The workers run at most two items per worker ahead of
-    the caller, so results that the caller has not taken yet stay few."""
+    the caller, so results that the caller has not taken yet stay few;
+    ``_ordered_map`` submits every item at once."""
     items = list(items)
-    if min(_WORKERS, len(items)) < 2 or _in_worker():
+    workers = min(_WORKERS, len(items))
+    if workers < 2 or _in_worker():
         yield from map(fn, items)
         return
-    pool, ahead = _executor(), 2 * _WORKERS
-    pending = deque(pool.submit(fn, item) for item in items[:ahead])
+    ahead = 2 * workers
+    pool = ThreadPoolExecutor(workers, initializer=_enter_pool)
     try:
+        pending = deque(pool.submit(fn, item) for item in items[:ahead])
         for item in items[ahead:]:
             pending.append(pool.submit(fn, item))
             yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
     finally:
-        for f in pending:
-            f.cancel()
-        wait(pending)
+        pool.shutdown(cancel_futures=True)

@@ -312,7 +312,7 @@ def _map_sizes(monkeypatch):
 
 def test_lifted_field_and_moves_independent_of_workers(monkeypatch):
     # the 41^3 calibration grid: its moves are built on the pool and its
-    # sweeps run in two row blocks, with the one-worker bits
+    # sweeps split the moves in two parts, with the one-worker bits
     from subelliptic.liftgroup import lift_grushin1
     lift = lift_grushin1()
     dom = BoxDomain((-1.3,) * 3, (1.3,) * 3, (41,) * 3)
@@ -333,33 +333,11 @@ def test_lifted_field_and_moves_independent_of_workers(monkeypatch):
     assert set(sizes) == {2}
 
 
-def test_row_blocks_are_views_of_the_moves(g1, dom41):
-    # a block's operators share the move's data and indices, only their
-    # row pointers are new; the blocks cut the rows in order
-    m = get_metric(g1, dom41)
-    npts = dom41.num_points
-    for moves, width in ((m._moves, 2), (m._corner_order_moves(), 1)):
-        blocks = m._row_blocks(moves, 3, width)
-        cuts = [lo for lo, _, _ in blocks] + [blocks[-1][1]]
-        assert cuts == [0, npts // 3, 2 * npts // 3, npts]
-        for lo, hi, part in blocks:
-            for move, (cost, invalid, op) in zip(moves, part):
-                ref = move.op[width * lo:width * hi]
-                assert cost == move.cost
-                assert np.shares_memory(op.data, move.op.data)
-                assert np.shares_memory(op.indices, move.op.indices)
-                for attr in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(op, attr),
-                                          getattr(ref, attr))
-                keep = (move.invalid >= lo) & (move.invalid < hi)
-                assert np.array_equal(invalid + lo, move.invalid[keep])
-
-
 @pytest.mark.parametrize("workers, block", [(2, pool._BLOCK), (3, 1000)])
-def test_batch_fields_independent_of_row_blocks(g1, dom41, monkeypatch,
+def test_batch_fields_independent_of_move_parts(g1, dom41, monkeypatch,
                                                 workers, block):
     # a 48-source batch: the live columns fall as fields settle, and the
-    # sweeps go from several row blocks to one
+    # sweeps go from several parts of the moves to one
     m = get_metric(g1, dom41)
     batch = dom41.points()[::35][:48]
     monkeypatch.setattr(pool, "_WORKERS", 1)
@@ -373,11 +351,11 @@ def test_batch_fields_independent_of_row_blocks(g1, dom41, monkeypatch,
 
 def test_small_field_makes_no_pool_map(g1, dom81, monkeypatch):
     # an 81^2 move and field stay on the calling thread
-    def no_pool():
+    def no_pool(*args, **kwargs):
         raise AssertionError("pool used")
 
     monkeypatch.setattr(pool, "_WORKERS", 2)
-    monkeypatch.setattr(pool, "_executor", no_pool)
+    monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
     m = geometry.CCMetric(g1, dom81)
     assert m.distance_field((0.5, 0.2)).shape == (dom81.num_points,)
 

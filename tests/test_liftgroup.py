@@ -2,8 +2,6 @@
 
 import dataclasses
 import itertools
-import os
-import signal
 import threading
 import time
 from fractions import Fraction
@@ -251,37 +249,14 @@ def test_ordered_map_nested_runs_inline(monkeypatch):
         assert inner == [(me, k * m) for m in range(4)]
 
 
-def test_ordered_map_keeps_one_pool(monkeypatch):
-    # the threads persist across maps: 200 maps start no more of them
+def test_ordered_maps_leave_no_threads_behind(monkeypatch):
+    # 200 maps: each joins its workers before it returns
     monkeypatch.setattr(pool, "_WORKERS", 2)
-    executor = pool._executor()
+    before = threading.active_count()
     for k in range(200):
         assert _within(30, lambda: pool._ordered_map(
             lambda m: k * m, range(4))) == [0, k, 2 * k, 3 * k]
-        assert threading.active_count() <= pool._WORKERS + 1
-    assert pool._executor() is executor
-
-
-def test_ordered_map_in_a_forked_child(monkeypatch):
-    # a child forked after a map inherits the executor but not its
-    # threads; it makes its own instead of waiting on the parent's
-    monkeypatch.setattr(pool, "_WORKERS", 2)
-    assert pool._ordered_map(abs, range(-4, 0)) == [4, 3, 2, 1]
-    pid = os.fork()
-    if pid == 0:
-        ok = pool._ordered_map(abs, range(-4, 0)) == [4, 3, 2, 1]
-        os._exit(0 if ok else 1)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        time.sleep(0.05)
-    else:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's map did not return within 30 s")
-    assert os.waitstatus_to_exitcode(status) == 0
+        assert threading.active_count() == before
 
 
 def test_ordered_imap_runs_a_bounded_way_ahead(monkeypatch):

@@ -397,39 +397,6 @@ def test_family_queries_equal_the_former_construction(g1, dom41, xs2,
         assert seen == {True, False}
 
 
-def test_oscillation_records_from_memberships_equal_the_former(
-        g1, dom41, xs2, family41):
-    # where r or k r is a family radius the record reads that ball from the
-    # family's memberships; the records are the former construction's bits
-    fam = family41
-    u = estimates.grid_from_expr(dom41, estimates.bump_expr(xs2, (0.6, 0.7)),
-                                 xs2)
-    second = {(h, l): estimates.apply_word_grid(g1, (h, l), u)
-              for h in range(2) for l in range(2)}
-    M_second = {key: hl_maximal(v, fam) for key, v in second.items()}
-    A = np.array([[1.2, 0.3], [0.3, 0.8]])
-    LAu_vals = sum(A[i, j] * second[(i, j)].values
-                   for i in range(2) for j in range(2))
-    assert fam.radii.tolist() == [0.6, 1.2]
-    for margin in range(4):
-        LAu = GridFunction(dom41, LAu_vals, margin)
-        trust = LAu.interior_mask().ravel()
-        seen = set()
-        for k in (2.0, 4.0, 8.0):
-            # r a family radius, and k r one for every k
-            for r in (fam.radii[0], fam.radii[1] / k):
-                for ci, x0 in sample_balls(fam, r, k, trust, 6) + [(0, 0)]:
-                    rec = maximal.oscillation_check_constant_matrix(
-                        second, M_second, LAu, fam, 0, 1, ci, r, x0, k, 2.0)
-                    ref = _former_record(second, M_second, LAu, fam, 0, 1,
-                                         ci, r, x0, k, 2.0)
-                    seen.add(ref is None)
-                    assert rec.skipped == (ref is None)
-                    if ref is not None:
-                        assert (rec.lhs, rec.terms) == ref
-        assert seen == {True, False}
-
-
 def test_family_sup_without_covering_balls_raises(family41, dom41):
     # margin 19 leaves a 3 x 3 interior, which no family ball fits in
     f = GridFunction(dom41, np.ones(dom41.counts), 19)
