@@ -201,9 +201,11 @@ def read_grid_binary(path) -> GridFunction:
 
 
 def write_grid_csv(path, gf: GridFunction) -> None:
+    """A "margin,m" line, a header and an "x1,...,value" row per node."""
     pts = gf.domain.points()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
+        w.writerow(["margin", gf.margin])
         w.writerow([f"x{i+1}" for i in range(gf.domain.dim)] + ["value"])
         for pt, v in zip(pts, gf.values.ravel()):
             w.writerow([repr(float(c)) for c in pt] + [repr(float(v))])
@@ -218,8 +220,10 @@ def read_grid(path) -> GridFunction:
 
 
 def _read_grid_csv(path) -> GridFunction:
+    """The grid of ``write_grid_csv``; margin 0 without its margin line."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    margin = int(rows.pop(0)[1]) if rows[0][0] == "margin" else 0
     header, rows = rows[0], rows[1:]
     dim = len(header) - 1
     pts = np.array([[float(c) for c in r[:dim]] for r in rows])
@@ -228,4 +232,4 @@ def _read_grid_csv(path) -> GridFunction:
     counts = tuple(len(a) for a in axes)
     dom = BoxDomain(tuple(a[0] for a in axes), tuple(a[-1] for a in axes), counts)
     order = np.lexsort(tuple(pts[:, k] for k in reversed(range(dim))))
-    return GridFunction(dom, vals[order].reshape(counts))
+    return GridFunction(dom, vals[order].reshape(counts), margin)

@@ -232,16 +232,16 @@ class CCMetric:
         own, and the sweep the minimum of the parts' buffers; minima are
         exact, so the fields do not depend on the number of workers.
 
-        Raises UnresolvedDistanceError when the sweeps have not settled
-        within the budget of 20 box diameters per tau plus 100, or when
-        every column has settled while the tolerance (<= 0) still asks
-        for a change.
+        Raises ValueError for a source off the box or not finite, and
+        UnresolvedDistanceError when the sweeps have not settled within the
+        budget of 20 box diameters per tau plus 100, or when every column
+        has settled while the tolerance (<= 0) still asks for a change.
         """
         src = np.atleast_2d(np.asarray(sources, dtype=float))
+        nodes = [self._source_node(x) for x in src]
         nsrc, npts = src.shape[0], self.domain.num_points
         d = np.full((npts, nsrc), _BIG)
-        for s in range(nsrc):
-            d[self.domain.flat_index_of(src[s]), s] = 0.0
+        d[nodes, np.arange(nsrc)] = 0.0
         # The batch size is a property of the input, and it fixes the order
         # in which the corner products are added: one source adds them in
         # two lanes, several in corner order, also once columns have been
@@ -289,6 +289,13 @@ class CCMetric:
     def distance_field(self, source) -> np.ndarray:
         return self.distance_fields([source])[0]
 
+    def _source_node(self, source) -> int:
+        """Flat index of the node a source snaps to; ValueError for a source
+        off the box (``BoxDomain.contains``), which snapping would move."""
+        if not self.domain.contains(source):
+            raise ValueError(f"source {source!r} is not a point of the box")
+        return self.domain.flat_index_of(source)
+
     def interpolate(self, field_flat: np.ndarray, x) -> float:
         """Multilinear interpolation of a node field at an off-grid point."""
         idx, wts, _ = _corner_weights(self.domain,
@@ -309,8 +316,9 @@ _FIELD_CACHE_LIMIT = 64
 
 def cached_distance_field(metric: CCMetric, source) -> np.ndarray:
     """Memoized single-source distance field (flat array), keyed by the
-    grid node the source snaps to: the field depends on nothing else."""
-    cache, key = metric._field_cache, metric.domain.flat_index_of(source)
+    grid node the source snaps to (``CCMetric._source_node``, which refuses
+    a source off the box): the field depends on nothing else."""
+    cache, key = metric._field_cache, metric._source_node(source)
     if key not in cache:
         if len(cache) >= _FIELD_CACHE_LIMIT:
             cache.pop(next(iter(cache)))

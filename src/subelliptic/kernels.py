@@ -635,10 +635,12 @@ def log_growth_grid(i: int, j: int, x, A=None) -> tuple:
 # defaults (cells=64) holds about 20 MB, one at cells=16 about 0.4 MB
 _GRID_CACHE_LIMIT = 8
 
-# bytes of T plans kept (``_t_plan``).  A plan holds 52 B per (node,
-# output group) pair: 21-24 MB at cells=16 for the 256 stride-4 outputs on
-# 61^2 (16 groups), so the benchmark's four T-query plans take 87 MB; all
-# of 61^2 takes 81-93 MB, and a scattered point about 2 MB
+_T_CELLS = 16       # cells of the T-cubature's base grid
+
+# bytes of T plans kept (``_t_plan``).  A plan holds about 41 B per (node,
+# output group) pair: 15.6-17.8 MB for the 256 stride-4 outputs on 61^2
+# (16 groups), so the benchmark's four T-query plans take 66 MB; all of
+# 61^2 takes 62-71 MB, and a scattered point about 1.3 MB
 _PLAN_CACHE_BYTES = 128 * 2 ** 20
 
 
@@ -702,57 +704,47 @@ def _kernel_levels(kernel: TruncatedKernel, grid: tuple, block=slice(None)):
 
 @dataclass(frozen=True)
 class _TGroup:
-    """One group of output points and the nodes whose f-corners it reads.
+    """One group of output points and the binning operators of its tables.
 
-    sel indexes the plan's node list and f1 holds the nodes' bilinear
-    fractions along x1; with K w at the nodes, wr = [K w (1 - f1), K w f1]
-    holds the weights of their lower- and upper-row f-corners.  bins =
-    (B_lo, B_hi) are read-only CSR matrices, sharing indices and indptr,
-    with one row per table bin that lists the bin's corners in ascending
-    position of wr, valued by the corner's fraction (1 - gfrac) or gfrac
-    along x2.  The tables B_lo @ wr and B_hi @ wr have the given shape
-    (rows, nq) and are contracted with f at rows and cols.
+    bins = (B_lo, B_hi) are read-only CSR matrices, sharing indices and
+    indptr, with a row per table bin and a column per base node.  A row
+    lists the bin's f-corners, lower-row ones in node order and then
+    upper-row ones, each in its node's base column and valued psi w0 times
+    its bilinear fractions along x1 and x2 ((1 - g) in B_lo, g in B_hi).
+    With c0 K on the base grid as kw0, the tables B_lo @ kw0 and B_hi @ kw0
+    have the shape (rows, nq) and are contracted with f at rows and cols.
     """
 
     members: np.ndarray
-    sel: np.ndarray
-    f1: np.ndarray
     bins: tuple
     shape: tuple
     rows: slice
     cols: np.ndarray
 
-    def tables(self, kw: np.ndarray) -> list:
-        """W_lo, W_hi: K w at the group's nodes times the bilinear corner
-        weights, binned by corner.  csr_matvec adds a row's terms from 0
-        in stored order, as ``np.bincount`` adds a bin's, so a table entry
-        is bitwise the sum of its corners in node order, lower-row corners
-        first."""
-        n = self.sel.size
-        w = np.take(kw, self.sel)
-        wr = np.empty(2 * n)
-        np.subtract(1.0, self.f1, out=wr[:n])
-        wr[:n] *= w
-        np.multiply(w, self.f1, out=wr[n:])
-        return [(b @ wr).reshape(self.shape) for b in self.bins]
+    def tables(self, kw0: np.ndarray) -> list:
+        """W_lo, W_hi; csr_matvec adds a row's terms from 0 in stored
+        order, as ``np.bincount`` adds a bin's."""
+        return [(b @ kw0).reshape(self.shape) for b in self.bins]
 
 
-def _bin_operators(cell: np.ndarray, gfrac: np.ndarray, shape: tuple):
-    """(B_lo, B_hi) of a group whose nodes' lower-row corners fall in the
-    table bins cell; a node's upper-row corner is one table row (nq bins)
-    on.  A stable sort of the 2n corners by bin lists each bin's corners
-    in ascending position of wr."""
+def _bin_operators(cell: np.ndarray, base: np.ndarray, wr: np.ndarray,
+                   gfrac: np.ndarray, shape: tuple, n0: int):
+    """(B_lo, B_hi) of a group whose nodes sit in the base columns base (of
+    n0), with lower-row corners in the table bins cell and upper-row ones
+    nq bins on, weighed along x1 by wr = [psi w0 (1 - f1), psi w0 f1].  A
+    stable sort of the corners by bin lists each bin's lower-row ones first."""
     corner_bin = np.concatenate([cell, cell + shape[1]])
-    order = np.argsort(corner_bin, kind="stable").astype(np.int32)
+    order = np.argsort(corner_bin, kind="stable")
     indptr = np.zeros(shape[0] * shape[1] + 1, dtype=np.int32)
     np.cumsum(np.bincount(corner_bin, minlength=indptr.size - 1),
               out=indptr[1:])
-    hi = np.concatenate([gfrac, gfrac])[order]
-    lo = 1.0 - hi
+    indices = np.concatenate([base, base])[order]
+    g, wr = np.concatenate([gfrac, gfrac])[order], wr[order]
+    hi, lo = g * wr, (1.0 - g) * wr
     # frozen first, so that the views the two matrices take are read-only
-    _freeze(order, indptr, lo, hi)
-    return tuple(sparse.csr_matrix((d, order, indptr),
-                                   shape=(indptr.size - 1, order.size))
+    _freeze(indices, indptr, lo, hi)
+    return tuple(sparse.csr_matrix((d, indices, indptr),
+                                   shape=(indptr.size - 1, n0))
                  for d in (lo, hi))
 
 
@@ -760,45 +752,41 @@ def _bin_operators(cell: np.ndarray, gfrac: np.ndarray, shape: tuple):
 class _TPlan:
     """Everything of a T-cubature that does not depend on the matrix A.
 
-    K is evaluated on the base grid's columns; level l's nodes are the
-    base nodes `base` with cutoff values psi (only psi != 0 is kept), and
-    the plan's node list is the levels concatenated in order.  Unlike
-    ``_kernel_levels`` it keeps a node where K w itself is 0, which adds
-    exact zeros (no node of an even-celled midpoint grid is known to hit
-    such a zero).
+    K is evaluated on the base grid's columns; the graded levels, their
+    cutoff values psi (only psi != 0 is kept) and the cell volume are
+    folded into the groups' binning operators.  Unlike ``_kernel_levels``
+    it keeps a node where K itself is 0, which adds exact zeros (no node
+    of an even-celled midpoint grid is known to hit such a zero).
     """
 
     cols: tuple
-    w0: float
-    levels: tuple        # (base, psi) per level
     groups: tuple        # _TGroup per output group that reads f
     size: int            # number of output points
 
     def arrays(self) -> list:
-        return [*self.cols, *(a for lev in self.levels for a in lev),
+        return [*self.cols,
                 *(a for g in self.groups
-                  for a in (g.members, g.sel, g.f1, g.bins[0].data,
-                            g.bins[1].data, g.bins[0].indices,
-                            g.bins[0].indptr, g.cols))]
+                  for a in (g.members, g.bins[0].data, g.bins[1].data,
+                            g.bins[0].indices, g.bins[0].indptr, g.cols))]
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self.arrays())
 
 
-def _build_t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
+def _build_t_plan(profile: CutoffProfile, dom: BoxDomain,
                   pts: np.ndarray) -> _TPlan:
-    """The node set, cutoff values and per-group binning operators of
+    """The base grid's columns and per-group binning operators of
     ``apply_T_quadrature`` for the (n, 2) output points pts."""
-    v0, w0, per_level, s0 = _graded_kernel(profile, cells)
+    v0, w0, per_level, s0 = _graded_kernel(profile, _T_CELLS)
     cols = tuple(np.ascontiguousarray(v0[:, k]) for k in range(3))
-    levels, nodes = [], []
+    nodes = []
     for scale, keep in per_level:
         psi = profile.radial_quartic(s0 * float(np.prod(scale)))
         base = np.flatnonzero(keep & (psi != 0.0))
-        levels.append((base, psi[base]))
-        nodes.append([c[base] * s for c, s in zip(cols, scale)])
-    v1, v2, v3 = (np.concatenate(a) for a in zip(*nodes))
+        nodes.append([*(c[base] * s for c, s in zip(cols, scale)),
+                      base.astype(np.int32), psi[base] * w0])
+    v1, v2, v3, base, pw = (np.concatenate(a) for a in zip(*nodes))
     h = dom.spacing
     c0, c1 = dom.counts
     b_add = (-v2 + v1 * v3) / h[1]
@@ -818,11 +806,12 @@ def _build_t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
         lead = members[0]
         x1 = pts[lead, 0]
         r1 = (x1 - v1 - dom.lower[0]) / h[0]
-        sel = np.flatnonzero((r1 >= 0) & (r1 <= c0 - 1)).astype(np.int32)
+        sel = np.flatnonzero((r1 >= 0) & (r1 <= c0 - 1))
         if sel.size == 0:
             continue
         r1 = np.clip(r1[sel], 0.0, c0 - 1 - 1e-9)
         b1 = r1.astype(np.int64)
+        f1 = r1 - b1
         t = phi[lead] + b_add[sel] + x1 * c_mul[sel]
         q = np.floor(t)
         gfrac = t - q
@@ -836,11 +825,11 @@ def _build_t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
         # columns m + q; any outside [0, c1] read the zero column c1
         fcols = (m[members].astype(np.int64) + qmin)[:, None] + np.arange(nq)
         fcols = np.where((fcols >= 0) & (fcols <= c1), fcols, c1)
-        groups.append(_TGroup(members, sel, r1 - b1,
-                              _bin_operators(cell, gfrac, (nrow, nq)),
-                              (nrow, nq), slice(row_lo, row_lo + nrow),
-                              fcols))
-    plan = _TPlan(cols, w0, tuple(levels), tuple(groups), len(pts))
+        wr = np.tile(pw[sel], 2) * np.concatenate([1.0 - f1, f1])
+        groups.append(_TGroup(members, _bin_operators(
+            cell, base[sel], wr, gfrac, (nrow, nq), v0.shape[0]),
+            (nrow, nq), slice(row_lo, row_lo + nrow), fcols))
+    plan = _TPlan(cols, tuple(groups), len(pts))
     _freeze(*plan.arrays())
     return plan
 
@@ -849,16 +838,16 @@ _T_PLANS: dict = {}
 _T_PLAN_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def _t_plan(profile: CutoffProfile, cells: int, dom: BoxDomain,
+def _t_plan(profile: CutoffProfile, dom: BoxDomain,
             pts: np.ndarray) -> _TPlan:
-    """The T plan of (profile, cells, f's box, output points), built on a
+    """The T plan of (profile, f's box, output points), built on a
     miss.  Plans of at most ``_PLAN_CACHE_BYTES`` together are kept, the
     least recently used evicted first; the plan just used always stays."""
-    key = (profile, cells, dom, pts.shape, pts.tobytes())
+    key = (profile, dom, pts.shape, pts.tobytes())
     plan = _T_PLANS.pop(key, None)
     if plan is None:
         _T_PLAN_COUNTS["misses"] += 1
-        plan = _build_t_plan(profile, cells, dom, pts)
+        plan = _build_t_plan(profile, dom, pts)
         held = sum(p.nbytes for p in _T_PLANS.values())
         while _T_PLANS and held + plan.nbytes > _PLAN_CACHE_BYTES:
             held -= _T_PLANS.pop(next(iter(_T_PLANS))).nbytes
@@ -876,8 +865,7 @@ def t_plan_cache_info() -> dict:
                 nbytes=sum(p.nbytes for p in _T_PLANS.values()))
 
 
-def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
-                       cells: int = 16) -> np.ndarray:
+def apply_T_quadrature(kernel: TruncatedKernel, f, out_points) -> np.ndarray:
     """T f at the given points by graded quadrature in lifted coordinates.
 
     Substituting v = (y, eta)^{-1} (x, 0) moves the singularity to a fixed
@@ -896,12 +884,12 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
     [0, c1 - 2], so a point outside the box reads zero.  Scattered points
     form groups of one.
 
-    Only K depends on the matrix A, so everything else (nodes, cutoff
-    values, groups, corner fractions and bins) is a plan (``_t_plan``)
-    built once per cutoff profile, cells, f's box and output points; a
-    call evaluates c0 w0 K once on the base grid, scales it by each level's
-    cutoff, and per group weighs the corners, bins them by two sparse
-    products and contracts the tables.
+    Only K depends on the matrix A, and every level reuses K on the base
+    grid by homogeneity, so everything else (levels, cutoff, cell volume,
+    groups, corner fractions and bins) is a plan (``_t_plan``) built once
+    per cutoff profile, f's box and output points; a call evaluates c0 K
+    once on the base grid, and per group bins it by two sparse products
+    and contracts the tables.
 
     Raises ValueError for points that are not finite or not of shape
     (n, 2), and for an f that is not on a 2-D box.
@@ -916,10 +904,8 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
         raise ValueError("output points must be finite")
     if pts.size == 0:
         return np.zeros(0)
-    plan = _t_plan(kernel.profile, cells, f.domain, pts)
-    kw0 = kernel._c0 * plan.w0 * np.asarray(kernel._fn(*plan.cols),
-                                             dtype=float)
-    kw = np.concatenate([kw0[base] * psi for base, psi in plan.levels])
+    plan = _t_plan(kernel.profile, f.domain, pts)
+    kw0 = kernel._c0 * np.asarray(kernel._fn(*plan.cols), dtype=float)
     c0, c1 = f.domain.counts
     # f's lower and upper corner columns; zero where a lower corner leaves
     # [0, c1 - 2]
@@ -929,7 +915,7 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points,
     f_hi[:, :c1 - 1] = f.values[:, 1:]
     out = np.zeros(plan.size)
     for g in plan.groups:
-        W_lo, W_hi = g.tables(kw)
+        W_lo, W_hi = g.tables(kw0)
         out[g.members] = (np.einsum("rq,rgq->g", W_lo, f_lo[g.rows][:, g.cols])
                           + np.einsum("rq,rgq->g", W_hi,
                                       f_hi[g.rows][:, g.cols]))

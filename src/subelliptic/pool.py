@@ -26,12 +26,12 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # ran at 0.46x.
 # The cubatures' speed also rests on glibc's allocator: block temporaries
 # are reused from the heap only while its dynamic mmap and trim thresholds
-# stand above their size, which holds once a larger temporary has been
-# freed (probably the 2 MB hole masks of liftgroup._graded_levels; not
-# verified).  With the trim threshold frozen at 128 KB
-# (MALLOC_MMAP_THRESHOLD_=4194304 alone) the heap is trimmed and refilled
-# per block, and the one-worker normalization cubature takes 2.8-3.4 s
-# instead of 1.3-1.4 s (2-core Xeon VM).
+# stand well above their size.  A freed mmapped chunk raises them to its
+# size and twice that; the 2 MB hole masks of liftgroup._graded_levels do
+# it.  With the masks kept alive the one-worker normalization cubature
+# takes 1.9-2.2 s instead of 1.2 s (a 2 MB free before it restores that, a
+# 1 MB one does not), and with the trim threshold frozen at 128 KB
+# (MALLOC_MMAP_THRESHOLD_=4194304 alone) 2.4-3.4 s (2-core Xeon VM).
 _BLOCK = 1 << 15
 
 _POOL_THREAD = threading.local()

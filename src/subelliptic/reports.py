@@ -60,12 +60,13 @@ def read_report_csv(path):
 # ---------------------------------------------------------------------------
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_SIZE = (640, 420)      # width and height of every plot, in pixels
 
 
 def svg_plot(path, series, title: str = "", xlabel: str = "",
-             ylabel: str = "", width: int = 640, height: int = 420) -> None:
+             ylabel: str = "") -> None:
     """Write a plot of (label, xs, ys) series as a standalone SVG file."""
-    margin = 60
+    (width, height), margin = _SIZE, 60
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:

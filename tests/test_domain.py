@@ -89,9 +89,18 @@ def test_binary_roundtrip(tmp_path):
 def test_csv_roundtrip(tmp_path):
     dom = BoxDomain((0, 0), (1, 1), (5, 4))
     rng = np.random.default_rng(2)
-    f = GridFunction(dom, rng.normal(size=dom.counts))
+    f = GridFunction(dom, rng.normal(size=dom.counts), margin=2)
     path = tmp_path / "g.csv"
     write_grid_csv(path, f)
     back = read_grid(path)
     assert back.domain == dom
+    assert back.margin == 2
+    assert np.allclose(back.values, f.values)
+    # a file written without the margin line trusts every sample
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0].startswith("margin,")
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(lines[1:]))
+    back = read_grid(bare)
+    assert back.domain == dom and back.margin == 0
     assert np.allclose(back.values, f.values)

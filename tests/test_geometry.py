@@ -117,6 +117,22 @@ def test_field_cache_keys_on_the_source_node(g1):
     assert np.array_equal(a, m.distance_field((0.3, -0.2)))
 
 
+@pytest.mark.parametrize("source", [(5.0, 5.0), (2.0, 2.0 + 1e-9),
+                                    (np.nan, 0.2), (-np.inf, 0.0)])
+def test_field_sources_off_the_box_are_refused(g1, source):
+    # snapping would move these onto a box node, such as (2, 2) or (-2, 0.2),
+    # whose field may already be cached
+    m = geometry.CCMetric(g1, BoxDomain((-2, -2), (2, 2), (21, 21)))
+    # the box's own slack of 1e-12 still admits its faces
+    corner = cached_distance_field(m, (2.0 + 1e-13, 2.0))
+    assert corner[-1] == 0.0
+    with pytest.raises(ValueError, match="not a point of the box"):
+        cached_distance_field(m, source)
+    with pytest.raises(ValueError, match="not a point of the box"):
+        m.distance_fields([(0.0, 0.0), source])
+    assert list(m._field_cache.values()) == [corner]
+
+
 def test_growth_exponent_fit_exact():
     ratios = np.array([2.0, 4.0])
     vols = ratios ** 3

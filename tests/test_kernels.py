@@ -377,12 +377,29 @@ def test_weight_tables_match_gather():
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _bincount_groups(kernel, dom, pts, cells=16):
+def _plan_nodes(profile):
+    """(v1, v2, v3, base, psi w0) of the T plan's graded nodes with psi != 0,
+    level after level, each node's base-grid column and weight."""
+    v0, w0, per_level, s0 = kernels._graded_kernel(profile, kernels._T_CELLS)
+    nodes = []
+    for scale, keep in per_level:
+        psi = profile.radial_quartic(s0 * np.prod(scale))
+        base = np.flatnonzero(keep & (psi != 0.0))
+        nodes.append([*(v0[base, k] * scale[k] for k in range(3)), base,
+                      psi[base] * w0])
+    return [np.concatenate(a) for a in zip(*nodes)]
+
+
+def _bincount_groups(kernel, dom, pts):
     """Per output group (members, rows, cols, W_lo, W_hi): the node set,
     groups and weight tables built in one pass, each table binned by
-    ``np.bincount``, in the same floating-point order as the plan."""
-    v1, v2, v3, kw = (np.concatenate(a) for a in zip(*kernels._kernel_levels(
-        kernel, kernels._graded_kernel(kernel.profile, cells))))
+    ``np.bincount``, in the same floating-point order as the plan: a
+    corner's term is (g (psi w0 r)) (c0 K) at its node's base column, with
+    r and g its bilinear fractions along x1 and x2."""
+    v1, v2, v3, base, pw = _plan_nodes(kernel.profile)
+    kw0 = kernel._c0 * np.asarray(kernel._fn(
+        *(np.ascontiguousarray(c) for c in kernels._graded_kernel(
+            kernel.profile, kernels._T_CELLS)[0].T)), dtype=float)
     h = dom.spacing
     c0, c1 = dom.counts
     b_add = (-v2 + v1 * v3) / h[1]
@@ -414,18 +431,19 @@ def _bincount_groups(kernel, dom, pts, cells=16):
         nrow = int(b1.max()) - row_lo + 2
         cell = (b1 - row_lo) * nq + (q - qmin)
         idx = np.concatenate([cell, cell + nq])
-        w = kw[ok]
+        w = pw[ok]
         wr = np.concatenate([w * (1.0 - f1), w * f1])
         gg = np.concatenate([gfrac, gfrac])
-        W_lo = np.bincount(idx, wr * (1.0 - gg), minlength=nrow * nq)
-        W_hi = np.bincount(idx, wr * gg, minlength=nrow * nq)
+        k = np.tile(kw0[base[ok]], 2)
+        W_lo = np.bincount(idx, ((1.0 - gg) * wr) * k, minlength=nrow * nq)
+        W_hi = np.bincount(idx, (gg * wr) * k, minlength=nrow * nq)
         cols = (m[members].astype(np.int64) + qmin)[:, None] + np.arange(nq)
         cols = np.where((cols >= 0) & (cols <= c1), cols, c1)
         yield (members, slice(row_lo, row_lo + nrow), cols,
                W_lo.reshape(nrow, nq), W_hi.reshape(nrow, nq))
 
 
-def _apply_T_one_pass(kernel, f, pts, cells=16):
+def _apply_T_one_pass(kernel, f, pts):
     """T f from the one-pass ``np.bincount`` tables of ``_bincount_groups``,
     in the same floating-point order as the plan."""
     c0, c1 = f.domain.counts
@@ -435,7 +453,7 @@ def _apply_T_one_pass(kernel, f, pts, cells=16):
     f_lo[:, :c1 - 1] = f.values[:, :c1 - 1]
     f_hi[:, :c1 - 1] = f.values[:, 1:]
     for members, rows, cols, W_lo, W_hi in _bincount_groups(
-            kernel, f.domain, pts, cells):
+            kernel, f.domain, pts):
         out[members] = (np.einsum("rq,rgq->g", W_lo, f_lo[rows][:, cols])
                         + np.einsum("rq,rgq->g", W_hi, f_hi[rows][:, cols]))
     return out
@@ -454,14 +472,13 @@ def test_binning_operators_equal_the_bincount_tables():
     for eps, R in ((0.02, 0.5), (0.05, 1.0), (0.1, 2.0), (0.05, 2.0)):
         k = TruncatedKernel(0, 1, eps, R, A)
         for out in (grid, scattered):
-            plan = kernels._t_plan(k.profile, 16, dom, out)
-            kw0 = k._c0 * plan.w0 * np.asarray(k._fn(*plan.cols), dtype=float)
-            kw = np.concatenate([kw0[b] * psi for b, psi in plan.levels])
+            plan = kernels._t_plan(k.profile, dom, out)
+            kw0 = k._c0 * np.asarray(k._fn(*plan.cols), dtype=float)
             ref = list(_bincount_groups(k, dom, out))
             assert len(ref) == len(plan.groups)
             for g, (members, rows, cols, ref_lo, ref_hi) in zip(plan.groups,
                                                                 ref):
-                W_lo, W_hi = g.tables(kw)
+                W_lo, W_hi = g.tables(kw0)
                 assert np.array_equal(g.members, members)
                 assert g.rows == rows and np.array_equal(g.cols, cols)
                 assert np.array_equal(W_lo, ref_lo)
@@ -472,18 +489,25 @@ def test_binning_operators_equal_the_bincount_tables():
 
 def test_plan_arrays_cover_the_binning_operators():
     # a group's B_lo and B_hi share one indices and one indptr array,
-    # which the plan's bytes count once
+    # which the plan's bytes count once, and hold two corners of each node
+    # in the group's f-rows
     dom = BoxDomain((-2, -2), (2, 2), (21, 21))
-    plan = kernels._t_plan(TruncatedKernel(0, 1, 0.05, 1.0).profile, 16, dom,
-                           dom.points()[::5])
+    profile = TruncatedKernel(0, 1, 0.05, 1.0).profile
+    pts = dom.points()[::5]
+    plan = kernels._t_plan(profile, dom, pts)
     ids = {id(a) for a in plan.arrays()}
     assert len(ids) == len(plan.arrays())
+    v1 = _plan_nodes(profile)[0]
     for g in plan.groups:
         lo, hi = g.bins
         assert np.shares_memory(hi.indices, lo.indices)
         assert np.shares_memory(hi.indptr, lo.indptr)
         assert {id(lo.data), id(hi.data), id(lo.indices), id(lo.indptr)} <= ids
-        assert lo.nnz == 2 * g.sel.size == 2 * g.f1.size
+        x1 = pts[g.members, 0]
+        assert np.all(x1 == x1[0])
+        r1 = (x1[0] - v1 - dom.lower[0]) / dom.spacing[0]
+        in_rows = np.count_nonzero((r1 >= 0) & (r1 <= dom.counts[0] - 1))
+        assert lo.nnz == hi.nnz == 2 * in_rows
 
 
 def test_plan_cold_warm_and_cleared_agree_bitwise():
@@ -516,12 +540,11 @@ def test_plan_and_grid_arrays_are_read_only():
     dom = BoxDomain((-2, -2), (2, 2), (21, 21))
     k = TruncatedKernel(0, 1, 0.05, 1.0)
     out = dom.points()[::5]
-    plan = kernels._t_plan(k.profile, 16, dom, out)
+    plan = kernels._t_plan(k.profile, dom, out)
     g = plan.groups[0]
     lo, hi = g.bins
-    for a in (plan.cols[0], plan.levels[0][0], plan.levels[0][1], g.sel,
-              g.f1, lo.data, hi.data, lo.indices, lo.indptr, hi.indices,
-              hi.indptr, g.cols, g.members):
+    for a in (plan.cols[0], lo.data, hi.data, lo.indices, lo.indptr,
+              hi.indices, hi.indptr, g.cols, g.members):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     v0, _, per_level, s0 = kernels._graded_kernel(k.profile, 16)
@@ -581,7 +604,7 @@ def test_plan_cache_keeps_the_plan_in_use(monkeypatch):
 
 def test_plan_cache_holds_the_four_benchmark_plans():
     # the (eps, R) pairs of the benchmark's T-queries on its 61^2 stride-4
-    # outputs: about 87 MB of plans, all kept
+    # outputs: about 66 MB of plans, all kept
     dom = BoxDomain((-2, -2), (2, 2), (61, 61))
     axes = [np.asarray(a)[::4] for a in dom.axes()]
     grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
@@ -589,7 +612,7 @@ def test_plan_cache_holds_the_four_benchmark_plans():
     kernels._T_PLANS.clear()
     before = kernels.t_plan_cache_info()
     for eps, R in ((0.02, 0.5), (0.05, 1.0), (0.1, 2.0), (0.05, 2.0)):
-        kernels._t_plan(TruncatedKernel(0, 1, eps, R).profile, 16, dom, grid)
+        kernels._t_plan(TruncatedKernel(0, 1, eps, R).profile, dom, grid)
     info = kernels.t_plan_cache_info()
     assert info["plans"] == 4 and info["evictions"] == before["evictions"]
     assert 30e6 < info["nbytes"] <= kernels._PLAN_CACHE_BYTES
