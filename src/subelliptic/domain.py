@@ -190,12 +190,15 @@ def read_grid_binary(path) -> GridFunction:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not an HVFG grid file")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        counts = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        lower = struct.unpack(f"<{rank}d", fh.read(8 * rank))
-        upper = struct.unpack(f"<{rank}d", fh.read(8 * rank))
-        (margin,) = struct.unpack("<I", fh.read(4))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(counts)
+        try:
+            (rank,) = struct.unpack("<I", fh.read(4))
+            counts = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+            lower = struct.unpack(f"<{rank}d", fh.read(8 * rank))
+            upper = struct.unpack(f"<{rank}d", fh.read(8 * rank))
+            (margin,) = struct.unpack("<I", fh.read(4))
+            data = np.frombuffer(fh.read(), dtype="<f8").reshape(counts)
+        except (struct.error, ValueError) as exc:
+            raise ValueError(f"{path}: malformed HVFG file: {exc}") from None
     dom = BoxDomain(lower, upper, counts)
     return GridFunction(dom, data.copy(), margin)
 
@@ -223,7 +226,9 @@ def _read_grid_csv(path) -> GridFunction:
     """The grid of ``write_grid_csv``; margin 0 without its margin line."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    margin = int(rows.pop(0)[1]) if rows[0][0] == "margin" else 0
+    margin = int(rows.pop(0)[1]) if rows and rows[0][:1] == ["margin"] else 0
+    if len(rows) < 2:
+        raise ValueError(f"{path}: a grid CSV needs a header and rows")
     header, rows = rows[0], rows[1:]
     dim = len(header) - 1
     pts = np.array([[float(c) for c in r[:dim]] for r in rows])

@@ -196,10 +196,6 @@ class PolyVectorField:
         self.n = n
         self.comps = comps
 
-    @classmethod
-    def zero(cls, n: int) -> "PolyVectorField":
-        return cls([Poly.zero(n) for _ in range(n)])
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.comps)
 

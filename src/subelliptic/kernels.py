@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -361,10 +362,10 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
     (y, eta) = (x, 0) * v^{-1} turns T(Lu)(x) into an integral of the fixed
     singular kernel (Y_i Y_j Gamma . psi)(v) against Lu(pi((x,0) v^{-1})),
     so the anisotropic grading can be centered once at v = 0.  The
-    cubature runs in fixed blocks of its base grid (``_lifted_sums``): a
-    block evaluates K.w once (``_kernel_levels``, reused on every level by
-    homogeneity), and per level only the lifted points and Lu there
-    change; each base point x enters as (x, 0).  Both integrands are
+    graded rule (``_graded_kernel``) runs in fixed blocks of its base grid
+    (``_lifted_sums``): a block evaluates c0 K once (``_kernel_levels``),
+    and per level only the lifted points and Lu there change; each base
+    point x enters as (x, 0).  Both integrands are
     compiled, with common-subexpression elimination, once per shape of u
     (``_compiled_integrand``): u's numbers and A's entries enter
     numerically, and L_A u sums only the words of A's nonzero entries.
@@ -391,10 +392,10 @@ def representation_residual(i: int, j: int, A, u_expr: sp.Expr, xs,
 
     kernel = TruncatedKernel(i, j, eps, R, A)
     cij = flux_constant(i, j, A)
-    grid = _graded_kernel(kernel.profile, cells)
-    Tv = _lifted_sums(functools.partial(_kernel_levels, kernel, grid),
+    rule = _graded_kernel(kernel.profile, cells)
+    Tv = _lifted_sums(functools.partial(_kernel_levels, kernel, rule),
                       lambda y1, y2, _: F_fn(y1, y2),
-                      np.column_stack([xs, np.zeros(len(xs))]), len(grid[0]))
+                      np.pad(xs, ((0, 0), (0, 1))), len(rule.cols[0]))
     preds = Tv + cij * np.array([float(F_fn(*x)) for x in xs])
     return float(np.max(np.abs(preds - targets)) / scale)
 
@@ -631,16 +632,12 @@ def log_growth_grid(i: int, j: int, x, A=None) -> tuple:
 # the operator on grid functions
 # ---------------------------------------------------------------------------
 
-# graded base grids kept per (profile, cells); one at the representation
-# defaults (cells=64) holds about 20 MB, one at cells=16 about 0.4 MB
-_GRID_CACHE_LIMIT = 8
-
 _T_CELLS = 16       # cells of the T-cubature's base grid
 
-# bytes of T plans kept (``_t_plan``).  A plan holds about 41 B per (node,
-# output group) pair: 15.6-17.8 MB for the 256 stride-4 outputs on 61^2
-# (16 groups), so the benchmark's four T-query plans take 66 MB; all of
-# 61^2 takes 62-71 MB, and a scattered point about 1.3 MB
+# bytes of graded rules and T plans kept (``_cached``).  A rule takes 41.6
+# MB at the representation defaults (cells=64), 0.5 MB at cells=16; a plan
+# about 41 B per (node, output group) pair: 66 MB for the four benchmark
+# T-query plans (the 256 stride-4 outputs on 61^2), 1.3 MB a scattered point
 _PLAN_CACHE_BYTES = 128 * 2 ** 20
 
 
@@ -649,57 +646,99 @@ def _freeze(*arrays) -> None:
         a.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=_GRID_CACHE_LIMIT)
-def _graded_kernel(profile: CutoffProfile, cells: int) -> tuple:
-    """Base grid of the lifted T-cubature: (v0, w0, per_level, s0).
+_T_PLANS: dict = {}
+_T_PLAN_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
 
-    The node sets are those of ``graded_nodes_aniso`` with half-widths
-    1.05 (Lam, max(Lam, Lam^2), Lam), cells (cells, 2 cells, cells) and
-    shrinks (4, 16, 4); s0 is ||v||^4 on the base grid, summed from its
-    1-D axes in the order of ``_norm_quartic``.  ``_kernel_levels`` and
-    ``_build_t_plan`` take the nodes from it.
+
+def _cached(build):
+    """build, its results read-only and kept by its arguments (an array by
+    shape and bytes): rules and plans of at most ``_PLAN_CACHE_BYTES``
+    together, the least recently used evicted first, the one used kept."""
+    @functools.wraps(build)
+    def get(*args):
+        key = tuple((a.shape, a.tobytes()) if isinstance(a, np.ndarray)
+                    else a for a in args)
+        entry = _T_PLANS.pop(key, None)
+        if entry is None:
+            _T_PLAN_COUNTS["misses"] += 1
+            entry = build(*args)
+            _freeze(*entry.arrays())
+            held = sum(e.nbytes for e in _T_PLANS.values())
+            while _T_PLANS and held + entry.nbytes > _PLAN_CACHE_BYTES:
+                held -= _T_PLANS.pop(next(iter(_T_PLANS))).nbytes
+                _T_PLAN_COUNTS["evictions"] += 1
+        else:
+            _T_PLAN_COUNTS["hits"] += 1
+        _T_PLANS[key] = entry
+        return entry
+    return get
+
+
+class _Rule(NamedTuple):
+    """The graded lifted cubature of a cutoff profile, in read-only arrays.
+
+    cols are the base grid's three coordinate columns.  Level l is
+    (scale, base, pw): the base nodes base (ascending: those the level's
+    hole mask keeps and where psi != 0) dilated by scale, and psi w0 there.
+    A level's cell volume is w0 prod(scale) and Y_i Y_j Gamma has degree
+    -Q, so a node adds c0 K(base node) pw to both cubatures.
+    """
+
+    cols: tuple
+    levels: tuple
+
+    def arrays(self) -> list:
+        return [*self.cols, *(a for level in self.levels for a in level)]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.arrays())
+
+
+@_cached
+def _graded_kernel(profile: CutoffProfile, cells: int) -> _Rule:
+    """The ``_Rule`` of a cutoff profile on a base grid of `cells` cells.
+
     The level count L is the least for which psi vanishes on level L + 1,
-    whose ||v||^4 are s0 4^(-4(L+1)); the nodes of level L inside level
-    L + 1's box have no larger ||v||, so any count from L up gives the
-    same sums.  The grid depends on the cutoff profile and the cell count
-    alone, so it is built once per pair and its arrays are read-only.
+    whose ||v||^4 are s0 4^(-4(L+1)) (s0 = ||v||^4 on the base grid, whose
+    largest value is that of the 1-D axes' largest); the nodes of level L
+    inside level L + 1's box have no larger ||v||, so any count from L up
+    keeps the same nodes.
     """
     Lam = profile.support_radius
     half = np.array([1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam])
     shape = (cells, 2 * cells, cells)
     shrinks = np.array([4.0, 16.0, 4.0])
     a1, a2, a3 = _midpoint_axes(half, np.array(shape))
-    s0 = (a1[:, None, None] ** 4 + a2[None, :, None] ** 2
-          + a3[None, None, :] ** 4).ravel()
-    s_max, s_in = float(s0.max()), profile._edges()[0]
-    levels = 0
-    while s_max * float(np.prod(shrinks ** -(levels + 1))) > s_in:
-        levels += 1
-    v0, w0, per_level = _graded_levels(half, shape, levels, shrinks)
-    _freeze(v0, s0, *(a for level in per_level for a in level))
-    return v0, w0, per_level, s0
-
-
-def _kernel_levels(kernel: TruncatedKernel, grid: tuple, block=slice(None)):
-    """(v1, v2, v3, K(v) w) of the graded nodes over the base nodes in
-    `block`, level by level.
-
-    Level l is the exact dilate delta_{4^-l} of the base grid, Y_i Y_j Gamma
-    has degree -4 and the cell volume scales by 4^-4, so
-    c0 (Y_i Y_j Gamma)(v) w is the same at corresponding nodes of every
-    level and is evaluated once on the block; per level only the hole mask
-    and the cutoff psi(||v||^4 4^-4l) change.  Nodes where the cutoff
-    vanishes are left out, since they add nothing to any sum.  The three
-    coordinates are gathered as separate contiguous columns.
-    """
-    v0, w0, per_level, s0 = grid
-    cols = [np.ascontiguousarray(v0[block, k]) for k in range(3)]
-    kw0 = kernel._c0 * w0 * np.asarray(kernel._fn(*cols), dtype=float)
-    s0 = s0[block]
+    s_max = float(np.max(a1 ** 4) + np.max(a2 ** 2) + np.max(a3 ** 4))
+    s_in, count = profile._edges()[0], 0
+    while s_max * float(np.prod(shrinks ** -(count + 1))) > s_in:
+        count += 1
+    v0, w0, per_level = _graded_levels(half, shape, count, shrinks)
+    s0 = _norm_quartic(v0)
+    cols = tuple(np.ascontiguousarray(v0[:, k]) for k in range(3))
+    del v0
+    levels = []
     for scale, keep in per_level:
-        kw = kw0 * kernel.profile.radial_quartic(s0 * float(np.prod(scale)))
-        keep = keep[block] & (kw != 0.0)
-        yield (*(c[keep] * s for c, s in zip(cols, scale)), kw[keep])
+        base = np.flatnonzero(keep).astype(np.int32)
+        psi = profile.radial_quartic(s0[base] * float(np.prod(scale)))
+        levels.append((scale, base[psi != 0.0], psi[psi != 0.0] * w0))
+    return _Rule(cols, tuple(levels))
+
+
+def _kernel_levels(kernel: TruncatedKernel, rule: _Rule, block=slice(None)):
+    """(v1, v2, v3, c0 K(v) psi w) of the rule's nodes over the base nodes
+    in `block`, level by level: c0 K is evaluated once on the block, and a
+    level takes the run of its base indices inside the block."""
+    cols, levels = rule
+    start, stop, _ = block.indices(len(cols[0]))
+    kw0 = kernel._c0 * np.asarray(kernel._fn(*(c[start:stop] for c in cols)),
+                                  dtype=float)
+    for scale, base, pw in levels:
+        lo, hi = np.searchsorted(base, (start, stop))
+        b = base[lo:hi]
+        yield (*(c[b] * s for c, s in zip(cols, scale)),
+               kw0[b - start] * pw[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -712,19 +751,18 @@ class _TGroup:
     upper-row ones, each in its node's base column and valued psi w0 times
     its bilinear fractions along x1 and x2 ((1 - g) in B_lo, g in B_hi).
     With c0 K on the base grid as kw0, the tables B_lo @ kw0 and B_hi @ kw0
-    have the shape (rows, nq) and are contracted with f at rows and cols.
+    have the shape (rows, nq); a member reads f at rows and its cols band.
     """
 
     members: np.ndarray
     bins: tuple
-    shape: tuple
     rows: slice
     cols: np.ndarray
 
     def tables(self, kw0: np.ndarray) -> list:
         """W_lo, W_hi; csr_matvec adds a row's terms from 0 in stored
         order, as ``np.bincount`` adds a bin's."""
-        return [(b @ kw0).reshape(self.shape) for b in self.bins]
+        return [(b @ kw0).reshape(-1, self.cols.shape[1]) for b in self.bins]
 
 
 def _bin_operators(cell: np.ndarray, base: np.ndarray, wr: np.ndarray,
@@ -750,18 +788,12 @@ def _bin_operators(cell: np.ndarray, base: np.ndarray, wr: np.ndarray,
 
 @dataclass(frozen=True)
 class _TPlan:
-    """Everything of a T-cubature that does not depend on the matrix A.
-
-    K is evaluated on the base grid's columns; the graded levels, their
-    cutoff values psi (only psi != 0 is kept) and the cell volume are
-    folded into the groups' binning operators.  Unlike ``_kernel_levels``
-    it keeps a node where K itself is 0, which adds exact zeros (no node
-    of an even-celled midpoint grid is known to hit such a zero).
-    """
+    """Everything of a T-cubature that does not depend on the matrix A:
+    the graded rule's base columns, where K is evaluated, and its levels'
+    nodes and psi w0 folded into the groups' binning operators."""
 
     cols: tuple
     groups: tuple        # _TGroup per output group that reads f
-    size: int            # number of output points
 
     def arrays(self) -> list:
         return [*self.cols,
@@ -774,18 +806,14 @@ class _TPlan:
         return sum(a.nbytes for a in self.arrays())
 
 
-def _build_t_plan(profile: CutoffProfile, dom: BoxDomain,
-                  pts: np.ndarray) -> _TPlan:
+@_cached
+def _t_plan(profile: CutoffProfile, dom: BoxDomain,
+            pts: np.ndarray) -> _TPlan:
     """The base grid's columns and per-group binning operators of
     ``apply_T_quadrature`` for the (n, 2) output points pts."""
-    v0, w0, per_level, s0 = _graded_kernel(profile, _T_CELLS)
-    cols = tuple(np.ascontiguousarray(v0[:, k]) for k in range(3))
-    nodes = []
-    for scale, keep in per_level:
-        psi = profile.radial_quartic(s0 * float(np.prod(scale)))
-        base = np.flatnonzero(keep & (psi != 0.0))
-        nodes.append([*(c[base] * s for c, s in zip(cols, scale)),
-                      base.astype(np.int32), psi[base] * w0])
+    cols, levels = _graded_kernel(profile, _T_CELLS)
+    nodes = [[*(c[base] * s for c, s in zip(cols, scale)), base, pw]
+             for scale, base, pw in levels]
     v1, v2, v3, base, pw = (np.concatenate(a) for a in zip(*nodes))
     h = dom.spacing
     c0, c1 = dom.counts
@@ -827,42 +855,17 @@ def _build_t_plan(profile: CutoffProfile, dom: BoxDomain,
         fcols = np.where((fcols >= 0) & (fcols <= c1), fcols, c1)
         wr = np.tile(pw[sel], 2) * np.concatenate([1.0 - f1, f1])
         groups.append(_TGroup(members, _bin_operators(
-            cell, base[sel], wr, gfrac, (nrow, nq), v0.shape[0]),
-            (nrow, nq), slice(row_lo, row_lo + nrow), fcols))
-    plan = _TPlan(cols, tuple(groups), len(pts))
-    _freeze(*plan.arrays())
-    return plan
-
-
-_T_PLANS: dict = {}
-_T_PLAN_COUNTS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def _t_plan(profile: CutoffProfile, dom: BoxDomain,
-            pts: np.ndarray) -> _TPlan:
-    """The T plan of (profile, f's box, output points), built on a
-    miss.  Plans of at most ``_PLAN_CACHE_BYTES`` together are kept, the
-    least recently used evicted first; the plan just used always stays."""
-    key = (profile, dom, pts.shape, pts.tobytes())
-    plan = _T_PLANS.pop(key, None)
-    if plan is None:
-        _T_PLAN_COUNTS["misses"] += 1
-        plan = _build_t_plan(profile, dom, pts)
-        held = sum(p.nbytes for p in _T_PLANS.values())
-        while _T_PLANS and held + plan.nbytes > _PLAN_CACHE_BYTES:
-            held -= _T_PLANS.pop(next(iter(_T_PLANS))).nbytes
-            _T_PLAN_COUNTS["evictions"] += 1
-    else:
-        _T_PLAN_COUNTS["hits"] += 1
-    _T_PLANS[key] = plan
-    return plan
+            cell, base[sel], wr, gfrac, (nrow, nq), len(cols[0])),
+            slice(row_lo, row_lo + nrow), fcols))
+    return _TPlan(cols, tuple(groups))
 
 
 def t_plan_cache_info() -> dict:
-    """Hits, misses and evictions of the T-plan cache, with the number of
-    plans it holds and their bytes."""
-    return dict(_T_PLAN_COUNTS, plans=len(_T_PLANS),
-                nbytes=sum(p.nbytes for p in _T_PLANS.values()))
+    """Hits, misses and evictions of the plan cache, with the number of T
+    plans and of graded rules it holds and their bytes."""
+    plans = sum(isinstance(e, _TPlan) for e in _T_PLANS.values())
+    return dict(_T_PLAN_COUNTS, plans=plans, rules=len(_T_PLANS) - plans,
+                nbytes=sum(e.nbytes for e in _T_PLANS.values()))
 
 
 def apply_T_quadrature(kernel: TruncatedKernel, f, out_points) -> np.ndarray:
@@ -885,11 +888,10 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points) -> np.ndarray:
     form groups of one.
 
     Only K depends on the matrix A, and every level reuses K on the base
-    grid by homogeneity, so everything else (levels, cutoff, cell volume,
-    groups, corner fractions and bins) is a plan (``_t_plan``) built once
-    per cutoff profile, f's box and output points; a call evaluates c0 K
-    once on the base grid, and per group bins it by two sparse products
-    and contracts the tables.
+    grid by homogeneity, so all else is a plan (``_t_plan``) built once per
+    cutoff profile, f's box and output points.  A call evaluates c0 K on
+    the base grid; per group it bins it by two sparse products, multiplies
+    the tables into f's rows and sums each member's band.
 
     Raises ValueError for points that are not finite or not of shape
     (n, 2), and for an f that is not on a 2-D box.
@@ -906,19 +908,15 @@ def apply_T_quadrature(kernel: TruncatedKernel, f, out_points) -> np.ndarray:
         return np.zeros(0)
     plan = _t_plan(kernel.profile, f.domain, pts)
     kw0 = kernel._c0 * np.asarray(kernel._fn(*plan.cols), dtype=float)
-    c0, c1 = f.domain.counts
-    # f's lower and upper corner columns; zero where a lower corner leaves
-    # [0, c1 - 2]
-    f_lo = np.zeros((c0, c1 + 1))
-    f_hi = np.zeros((c0, c1 + 1))
-    f_lo[:, :c1 - 1] = f.values[:, :c1 - 1]
-    f_hi[:, :c1 - 1] = f.values[:, 1:]
-    out = np.zeros(plan.size)
+    # f's lower and upper corner columns, c1 + 1 of them; zero where a lower
+    # corner leaves [0, c1 - 2]
+    f_lo = np.pad(f.values[:, :-1], ((0, 0), (0, 2)))
+    f_hi = np.pad(f.values[:, 1:], ((0, 0), (0, 2)))
+    out = np.zeros(len(pts))
     for g in plan.groups:
         W_lo, W_hi = g.tables(kw0)
-        out[g.members] = (np.einsum("rq,rgq->g", W_lo, f_lo[g.rows][:, g.cols])
-                          + np.einsum("rq,rgq->g", W_hi,
-                                      f_hi[g.rows][:, g.cols]))
+        G = W_lo.T @ f_lo[g.rows] + W_hi.T @ f_hi[g.rows]
+        out[g.members] = G[np.arange(len(G)), g.cols].sum(axis=1)
     return out
 
 

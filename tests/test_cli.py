@@ -1,7 +1,9 @@
 """Exit codes, CSV stamping, and artifact emission of the command line."""
 
+import importlib
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -146,6 +148,22 @@ def test_maximal_missing_grid_file():
                         "--name", "grushin1"]) == 2
 
 
+@pytest.mark.parametrize("name, content", [
+    ("magic.hvfg", b"HVFG"),            # the magic and nothing after it
+    ("empty.csv", b""),
+    ("header.csv", b"margin,0\nx1,x2,value\n")],
+    ids=["magic-only", "empty-csv", "header-only-csv"])
+def test_maximal_malformed_grid_file_is_input_error(tmp_path, capsys, name,
+                                                    content):
+    src = tmp_path / name
+    src.write_bytes(content)
+    assert run_command(["maximal", "--op", "hl", "--f", str(src),
+                        "--name", "grushin1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert name in err[0]
+
+
 def test_exponent_outside_the_paper_range_is_config_error(tmp_path, capsys):
     # the maximal and a-priori estimates hold for 1 < p < inf
     src = tmp_path / "f.hvfg"
@@ -222,3 +240,15 @@ def test_readme_cli_examples_parse():
             build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_readme_private_names_resolve():
+    # every backticked private `module._name` the README cites exists, so
+    # a rename or deletion that leaves the README behind fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = set(re.findall(r"`([a-z]+)\.(_[A-Za-z0-9_]+)`", readme))
+    assert len(names) >= 10
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(names)
+               if not hasattr(importlib.import_module(f"subelliptic.{mod}"),
+                              attr)]
+    assert not missing

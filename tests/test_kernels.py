@@ -310,10 +310,34 @@ def test_graded_levels_are_exact_dilates(args):
     assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
+def _graded_levels_of(profile, cells, count=None):
+    """``liftgroup._graded_levels`` on the box of the lifted cubatures of
+    profile, with `count` levels after the base one, or the library's
+    level count."""
+    if count is None:
+        count = len(kernels._graded_kernel(profile, cells).levels) - 1
+    Lam = profile.support_radius
+    return liftgroup._graded_levels(
+        (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam),
+        (cells, 2 * cells, cells), count, (4.0, 16.0, 4.0))
+
+
+def _rule_levels(profile, v0, w0, per_level):
+    """(scale, base, psi w0) of each graded level: its hole mask's nodes
+    where psi != 0, by their base-grid index."""
+    s0 = kernels._norm_quartic(v0)
+    out = []
+    for scale, keep in per_level:
+        psi = profile.radial_quartic(s0 * np.prod(scale))
+        base = np.flatnonzero(keep & (psi != 0.0))
+        out.append((scale, base, psi[base] * w0))
+    return out
+
+
 def _lifted_nodes(kernel, cells):
     """All graded nodes and K(v) w, every level evaluated directly, at the
     library's level count."""
-    levels = len(kernels._graded_kernel(kernel.profile, cells)[2]) - 1
+    levels = len(kernels._graded_kernel(kernel.profile, cells).levels) - 1
     Lam = kernel.profile.support_radius
     half = (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam)
     vs, wts = _graded_nodes_direct((0.0, 0.0, 0.0), half,
@@ -343,19 +367,18 @@ def test_level_count_from_the_cutoff(eps, R, cells):
     # level L keeps a node inside the cutoff's support, level L + 1 would
     # keep none, and one more level leaves the nonzero nodes as they are
     k = TruncatedKernel(0, 1, eps, R)
-    grid = kernels._graded_kernel(k.profile, cells)
-    _, _, per_level, s0 = grid
+    rule = kernels._graded_kernel(k.profile, cells)
+    v0, w0, per_level = _graded_levels_of(k.profile, cells)
+    s0 = kernels._norm_quartic(v0)
     scale, keep = per_level[-1]
     shrinks = np.array([4.0, 16.0, 4.0])
     assert np.any(k.profile.radial_quartic(s0[keep] * np.prod(scale)) != 0)
     assert np.all(k.profile.radial_quartic(s0 * np.prod(scale / shrinks))
                   == 0)
-    Lam = k.profile.support_radius
-    more = liftgroup._graded_levels(
-        (1.05 * Lam, 1.05 * max(Lam, Lam ** 2), 1.05 * Lam),
-        (cells, 2 * cells, cells), len(per_level), shrinks)[2]
+    more = kernels._Rule(rule.cols, tuple(_rule_levels(
+        k.profile, *_graded_levels_of(k.profile, cells, len(per_level)))))
     got, ref = ([np.concatenate(c) for c in zip(*kernels._kernel_levels(
-        k, g))] for g in (grid, grid[:2] + (more, s0)))
+        k, r))] for r in (rule, more))
     assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
@@ -380,14 +403,10 @@ def test_weight_tables_match_gather():
 def _plan_nodes(profile):
     """(v1, v2, v3, base, psi w0) of the T plan's graded nodes with psi != 0,
     level after level, each node's base-grid column and weight."""
-    v0, w0, per_level, s0 = kernels._graded_kernel(profile, kernels._T_CELLS)
-    nodes = []
-    for scale, keep in per_level:
-        psi = profile.radial_quartic(s0 * np.prod(scale))
-        base = np.flatnonzero(keep & (psi != 0.0))
-        nodes.append([*(v0[base, k] * scale[k] for k in range(3)), base,
-                      psi[base] * w0])
-    return [np.concatenate(a) for a in zip(*nodes)]
+    v0, w0, per_level = _graded_levels_of(profile, kernels._T_CELLS)
+    return [np.concatenate(a) for a in zip(*(
+        [*(v0[base, k] * scale[k] for k in range(3)), base, pw]
+        for scale, base, pw in _rule_levels(profile, v0, w0, per_level)))]
 
 
 def _bincount_groups(kernel, dom, pts):
@@ -398,7 +417,7 @@ def _bincount_groups(kernel, dom, pts):
     r and g its bilinear fractions along x1 and x2."""
     v1, v2, v3, base, pw = _plan_nodes(kernel.profile)
     kw0 = kernel._c0 * np.asarray(kernel._fn(
-        *(np.ascontiguousarray(c) for c in kernels._graded_kernel(
+        *(np.ascontiguousarray(c) for c in _graded_levels_of(
             kernel.profile, kernels._T_CELLS)[0].T)), dtype=float)
     h = dom.spacing
     c0, c1 = dom.counts
@@ -445,7 +464,8 @@ def _bincount_groups(kernel, dom, pts):
 
 def _apply_T_one_pass(kernel, f, pts):
     """T f from the one-pass ``np.bincount`` tables of ``_bincount_groups``,
-    in the same floating-point order as the plan."""
+    in the same floating-point order as the plan: per group, the tables
+    times f's rows, then each member's band of that product summed."""
     c0, c1 = f.domain.counts
     out = np.zeros(len(pts))
     f_lo = np.zeros((c0, c1 + 1))
@@ -454,8 +474,8 @@ def _apply_T_one_pass(kernel, f, pts):
     f_hi[:, :c1 - 1] = f.values[:, 1:]
     for members, rows, cols, W_lo, W_hi in _bincount_groups(
             kernel, f.domain, pts):
-        out[members] = (np.einsum("rq,rgq->g", W_lo, f_lo[rows][:, cols])
-                        + np.einsum("rq,rgq->g", W_hi, f_hi[rows][:, cols]))
+        G = W_lo.T @ f_lo[rows] + W_hi.T @ f_hi[rows]
+        out[members] = G[np.arange(W_lo.shape[1]), cols].sum(axis=1)
     return out
 
 
@@ -547,8 +567,8 @@ def test_plan_and_grid_arrays_are_read_only():
               hi.indices, hi.indptr, g.cols, g.members):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
-    v0, _, per_level, s0 = kernels._graded_kernel(k.profile, 16)
-    for a in (v0, s0, per_level[0][0], per_level[0][1]):
+    rule = kernels._graded_kernel(k.profile, kernels._T_CELLS)
+    for a in (*rule.cols, *(a for level in rule.levels for a in level)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
@@ -561,33 +581,41 @@ def test_plan_cache_evicts_the_least_recently_used(monkeypatch):
     def query(eps):
         kernels.apply_T_quadrature(TruncatedKernel(0, 1, eps, 1.0), f, out)
 
-    kernels._T_PLANS.clear()
+    def entries():
+        return [(key[0].eps, type(e), e.nbytes)
+                for key, e in kernels._T_PLANS.items()]
+
     eps_list = [0.05 + 0.01 * n for n in range(6)]
+    # the last profile's rule and plan, as a miss on it will keep them
+    kernels._T_PLANS.clear()
+    query(eps_list[-1])
+    new = entries()
+    kernels._T_PLANS.clear()
     for eps in eps_list[:-1]:
         query(eps)
-    sizes = {key[0].eps: plan.nbytes
-             for key, plan in kernels._T_PLANS.items()}
-    budget = sum(sizes.values())
-    # a budget that holds these five plans exactly
+    # each miss kept a graded rule and then its plan
+    assert [(eps, kind) for eps, kind, _ in entries()] == [
+        (eps, kind) for eps in eps_list[:-1]
+        for kind in (kernels._Rule, kernels._TPlan)]
+    budget = sum(size for *_, size in entries())
+    # a budget that holds these five rules and five plans exactly
     monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", budget)
     before = kernels.t_plan_cache_info()
-    # a hit on the oldest plan makes the second one the least recently used
+    # a hit on the oldest plan leaves the oldest rule the least recently
+    # used; a miss then evicts for its rule first and for its plan next
     query(eps_list[0])
+    expect, evicted = entries(), []
+    for entry in new:
+        while expect and sum(e[2] for e in expect) + entry[2] > budget:
+            evicted.append(expect.pop(0))
+        expect.append(entry)
     query(eps_list[-1])
     after = kernels.t_plan_cache_info()
-    sizes[eps_list[-1]] = next(reversed(kernels._T_PLANS.values())).nbytes
-    held, evicted = budget, []
-    for eps in eps_list[1:5] + eps_list[:1]:
-        if held + sizes[eps_list[-1]] <= budget:
-            break
-        held -= sizes[eps]
-        evicted.append(eps)
     assert evicted and after["nbytes"] <= budget
+    assert entries() == expect
     assert after["evictions"] == before["evictions"] + len(evicted)
     assert after["hits"] == before["hits"] + 1
-    assert after["misses"] == before["misses"] + 1
-    profiles = {key[0].eps for key in kernels._T_PLANS}
-    assert profiles == set(eps_list) - set(evicted)
+    assert after["misses"] == before["misses"] + 2
 
 
 def test_plan_cache_keeps_the_plan_in_use(monkeypatch):
@@ -604,7 +632,8 @@ def test_plan_cache_keeps_the_plan_in_use(monkeypatch):
 
 def test_plan_cache_holds_the_four_benchmark_plans():
     # the (eps, R) pairs of the benchmark's T-queries on its 61^2 stride-4
-    # outputs: about 66 MB of plans, all kept
+    # outputs (about 66 MB of plans and 2 MB of their rules) and the graded
+    # rule of its representation queries (about 42 MB), all kept
     dom = BoxDomain((-2, -2), (2, 2), (61, 61))
     axes = [np.asarray(a)[::4] for a in dom.axes()]
     grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
@@ -613,9 +642,81 @@ def test_plan_cache_holds_the_four_benchmark_plans():
     before = kernels.t_plan_cache_info()
     for eps, R in ((0.02, 0.5), (0.05, 1.0), (0.1, 2.0), (0.05, 2.0)):
         kernels._t_plan(TruncatedKernel(0, 1, eps, R).profile, dom, grid)
+    y1, y2 = kernels._B_SYMS
+    kernels.representation_residual(
+        0, 1, np.array([[1.3, 0.4], [0.4, 0.8]]),
+        sp.exp(-(y1 ** 2 + 2 * y2 ** 2)), [(0.2, 0.3)])
     info = kernels.t_plan_cache_info()
-    assert info["plans"] == 4 and info["evictions"] == before["evictions"]
-    assert 30e6 < info["nbytes"] <= kernels._PLAN_CACHE_BYTES
+    assert info["plans"] == 4 and info["rules"] == 5
+    assert info["evictions"] == before["evictions"]
+    rule = kernels._T_PLANS[(TruncatedKernel(0, 1, 0.1, 20.0).profile, 64)]
+    assert rule.nbytes > 30e6
+    assert 60e6 + rule.nbytes < info["nbytes"] <= kernels._PLAN_CACHE_BYTES
+
+
+def test_representation_rule_is_held_under_the_byte_bound(monkeypatch):
+    # the representation's graded rule is a plan-cache entry: counted in
+    # its bytes and evicted, least recently used first, under its bound
+    y1, y2 = kernels._B_SYMS
+    u = sp.exp(-(y1 ** 2 + 2 * y2 ** 2)) * sp.cos(y1)
+    xs = np.array([(0.3, 0.2)])
+
+    def residual(eps):
+        kernels.representation_residual(0, 1, None, u, xs, eps=eps, R=10.0,
+                                        cells=16)
+
+    kernels._T_PLANS.clear()
+    before = kernels.t_plan_cache_info()
+    residual(0.2)
+    info = kernels.t_plan_cache_info()
+    (key, rule), = kernels._T_PLANS.items()
+    assert key == (TruncatedKernel(0, 1, 0.2, 10.0).profile, 16)
+    assert (info["plans"], info["rules"]) == (0, 1)
+    assert info["misses"] == before["misses"] + 1
+    assert info["nbytes"] == rule.nbytes == sum(
+        a.nbytes for a in (*rule.cols,
+                           *(a for level in rule.levels for a in level)))
+    # a budget that holds one such rule: a second profile's rule evicts
+    # the first, and a repeat of the second is a hit
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", info["nbytes"] + 1)
+    residual(0.25)
+    residual(0.25)
+    after = kernels.t_plan_cache_info()
+    assert [k[0].eps for k in kernels._T_PLANS] == [0.25]
+    assert after["evictions"] == info["evictions"] + 1
+    assert after["hits"] == info["hits"] + 1
+    # below any rule's bytes, the rule just used still stays
+    monkeypatch.setattr(kernels, "_PLAN_CACHE_BYTES", 1)
+    residual(0.2)
+    assert [k[0].eps for k in kernels._T_PLANS] == [0.2]
+
+
+@pytest.mark.parametrize("cells", [16, 40])
+def test_kernel_levels_over_the_blocks_are_the_rule(cells):
+    # the blocks' levels put back together level by level are the rule's
+    # nodes with c0 K pw, and those are the graded nodes where K psi w is
+    # not 0, with every level built and evaluated on its own
+    from subelliptic import pool
+    k = TruncatedKernel(0, 1, 0.2, 10.0, np.array([[1.2, -0.3], [-0.3, 0.9]]))
+    rule = kernels._graded_kernel(k.profile, cells)
+    cols, levels = rule
+    n = len(cols[0])
+    blocks = [list(kernels._kernel_levels(k, rule, slice(a, a + pool._BLOCK)))
+              for a in range(0, n, pool._BLOCK)]
+    assert len(blocks) == (1 if cells == 16 else 4)
+    kw0 = k._c0 * np.asarray(k._fn(*cols), dtype=float)
+    got = []
+    for lev, (scale, base, pw) in enumerate(levels):
+        parts = [np.concatenate(c) for c in zip(*(b[lev] for b in blocks))]
+        assert all(np.array_equal(p, c[base] * s)
+                   for p, c, s in zip(parts, cols, scale))
+        assert np.array_equal(parts[3], kw0[base] * pw)
+        got.append(parts)
+    v1, v2, v3, kw = (np.concatenate(c) for c in zip(*got))
+    vs, Kw = _lifted_nodes(k, cells)
+    on = Kw != 0.0
+    assert np.array_equal(np.stack([v1, v2, v3], axis=1), vs[on])
+    np.testing.assert_allclose(kw, Kw[on], rtol=1e-13, atol=0)
 
 
 def test_apply_T_quadrature_without_points():
@@ -673,7 +774,9 @@ def test_lp_ratio_sweep_builds_one_plan_per_cell():
                                    R_list=(1.0,))
     after = kernels.t_plan_cache_info()
     assert len(sweep) == 2 * 3
-    assert after["misses"] - before["misses"] == 2
+    # a plan and its graded rule per cell
+    assert (after["plans"], after["rules"]) == (2, 2)
+    assert after["misses"] - before["misses"] == 2 + 2
     assert after["hits"] - before["hits"] == 2 * 2
 
 
@@ -775,11 +878,11 @@ def _representation_literal(i, j, A, u, xs, eps, R, cells):
                                         kernels._B_SYMS)
     targets = np.array([float(target_fn(*x)) for x in xs])
     k = TruncatedKernel(i, j, eps, R, A)
-    grid = kernels._graded_kernel(k.profile, cells)
+    rule = kernels._graded_kernel(k.profile, cells)
     Tv = liftgroup._lifted_sums(
-        functools.partial(kernels._kernel_levels, k, grid),
+        functools.partial(kernels._kernel_levels, k, rule),
         lambda y1, y2, _: F_fn(y1, y2),
-        np.column_stack([xs, np.zeros(len(xs))]), len(grid[0]))
+        np.column_stack([xs, np.zeros(len(xs))]), len(rule.cols[0]))
     preds = Tv + flux_constant(i, j, A) * np.array([float(F_fn(*x))
                                                     for x in xs])
     return float(np.max(np.abs(preds - targets)) / np.max(np.abs(targets)))
